@@ -360,9 +360,9 @@ let sim_throughput ?(smoke = false) () =
      the identical stimulus and the timed loop allocates nothing).
      This measures the simulation engines themselves rather than the
      frame harness around them. *)
-  let bench_design ~engine (name, circuit, _, _) =
+  let bench_sim ~label ~sim_of (name, circuit, _, _) =
     let open Hwpat_rtl in
-    let sim = Cyclesim.create ~engine circuit in
+    let sim = sim_of circuit in
     let pool_size = 64 in
     let rng = ref 0x2545F49 in
     let next () =
@@ -389,10 +389,22 @@ let sim_throughput ?(smoke = false) () =
     in
     {
       sb_design = name;
-      sb_engine = engine_name engine;
+      sb_engine = label;
       sb_cycles = cycles_per_design;
       sb_seconds = seconds;
     }
+  in
+  let bench_design ~engine =
+    bench_sim ~label:(engine_name engine)
+      ~sim_of:(Hwpat_rtl.Cyclesim.create ~engine)
+  in
+  (* The batched engine at one lane, through the scalar API: the
+     candidate to replace the compiled engine's instance layer. *)
+  let batched1 = "batched 1-lane" in
+  let bench_batched1 =
+    bench_sim ~label:batched1 ~sim_of:(fun c ->
+        let open Hwpat_rtl.Cyclesim in
+        lane_view (instantiate_batched ~lanes:1 (plan c)) 0)
   in
   let designs =
     [
@@ -445,6 +457,7 @@ let sim_throughput ?(smoke = false) () =
       (fun engine -> List.map (bench_design ~engine) designs)
       engines
     @ List.map (fun engine -> bench_faultsim ~engine) engines
+    @ List.map bench_batched1 designs
   in
   let find design engine =
     List.find (fun b -> b.sb_design = design && b.sb_engine = engine) entries
@@ -460,10 +473,14 @@ let sim_throughput ?(smoke = false) () =
   List.iter
     (fun d ->
       let r = find d "reference" and c = find d "compiled" in
+      let batched =
+        if List.exists (fun (n, _, _, _) -> n = d) designs then
+          Printf.sprintf "   %s %10.0f cyc/s" batched1 (sb_rate (find d batched1))
+        else ""
+      in
       Printf.printf
-        "  %-18s reference %10.0f cyc/s   compiled %10.0f cyc/s   (%.1fx)\n" d
-        (sb_rate r) (sb_rate c)
-        (List.assoc d speedups))
+        "  %-18s reference %10.0f cyc/s   compiled %10.0f cyc/s   (%.1fx)%s\n"
+        d (sb_rate r) (sb_rate c) (List.assoc d speedups) batched)
     design_names;
   (* Machine-readable record. *)
   let json =

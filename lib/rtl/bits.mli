@@ -44,10 +44,15 @@ val to_int : t -> int
     [Invalid_argument] if the value does not fit. *)
 
 val to_int_opt : t -> int option
-(** [Some v] when the value fits, [None] otherwise — for callers that
-    have their own out-of-range policy (e.g. address bound checks).
-    There is deliberately no truncating conversion: silently dropping
-    high bits of wide values corrupted diagnostics. *)
+(** [Some v] when the value fits, [None] otherwise. There is
+    deliberately no truncating conversion: silently dropping high bits
+    of wide values corrupted diagnostics. *)
+
+val to_index : t -> bound:int -> int
+(** [to_index t ~bound] is the value as an int when it is below
+    [bound], and [-1] otherwise (a value too wide for an int included).
+    The allocation-free form of an address or select bound check, for
+    the simulators' memory reads and {!Signal.mux_index}. *)
 
 val to_int64 : t -> int64
 (** Low 64 bits. *)
@@ -136,7 +141,13 @@ val compare : t -> t -> int
     [eq_into], [lt_into]) tolerate [dst] aliasing an operand's storage;
     [select_into] and [concat_msb_into] do not. All raise
     [Invalid_argument] on width mismatches, like their allocating
-    counterparts. *)
+    counterparts.
+
+    None of them allocates, and neither do {!blit_changed}, {!equal},
+    {!compare}, {!to_bool} and {!to_index}: limbs are stored unboxed
+    and the kernels keep every 64-bit value in registers (the
+    allocation-budget test in test/test_bits.ml holds them to 0 minor
+    words per call). *)
 
 val copy : t -> t
 (** A physically fresh vector with the same width and value. *)
@@ -176,7 +187,7 @@ val concat_msb_into : dst:t -> t array -> unit
     batched simulator lays a width-[W] signal over 64 lanes out as a
     width-[W*64] vector whose limb [b] is the bit-plane of bit [b]
     across all lanes; its plane-serial kernels (ripple add, compare,
-    mux masks) work limb-at-a-time through these. *)
+    mux masks) work limb-at-a-time through {!unsafe_data}. *)
 
 val limb_count : t -> int
 (** Number of 64-bit limbs backing the vector. *)
@@ -189,22 +200,18 @@ val set_limb : t -> int -> int64 -> unit
 (** [set_limb t i v] overwrites limb [i]; bits beyond [width] in the
     top limb are masked off to keep the vector normalized. *)
 
-val unsafe_get_limb : t -> int -> int64
-(** [get_limb] without the bounds check. The caller must guarantee
-    [0 <= i < limb_count t]. *)
-
-val unsafe_set_limb : t -> int -> int64 -> unit
-(** [set_limb] without the bounds check or the top-limb masking. Only
-    sound when [0 <= i < limb_count t] {e and} the width is a whole
-    number of limbs ([width mod 64 = 0]), as every batched simulation
-    buffer is — an unnormalized top limb breaks [equal]/[compare]. *)
-
-val unsafe_data : t -> int64 array
-(** The backing limb array itself, aliased, not copied. For inner-loop
-    kernels (the batched simulation engine) that cannot afford a call
-    per limb access. Writing through it bypasses normalization: only
-    sound under the same whole-limb-width condition as
-    {!unsafe_set_limb}. *)
+val unsafe_data : t -> Bytes.t
+(** The vector's storage itself, aliased, not copied: bytes [0..7] hold
+    the width and must not be written; limb [i] is the native-endian
+    64-bit word at byte offset [8 * (i + 1)]. For inner-loop kernels
+    (the batched simulation engine) that read and write limbs through
+    the compiler's inlined primitives
+    ([external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"])
+    rather than a call per limb, which would box every value. Writing
+    through it bypasses normalization: only sound when the width is a
+    whole number of limbs ([width mod 64 = 0]), as every batched
+    simulation buffer is, or when the bits written lie below [width] —
+    an unnormalized top limb breaks [equal]/[compare]. *)
 
 (** {1 Reduction} *)
 

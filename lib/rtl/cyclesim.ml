@@ -19,7 +19,7 @@ module Naive = struct
     circuit : Circuit.t;
     nodes : node_state array; (* in schedule order *)
     by_uid : (int, node_state) Hashtbl.t;
-    input_refs : (string * Bits.t ref) list;
+    inputs : (string * node_state) list; (* value refs are the port refs *)
     output_refs : (string * Bits.t ref) list;
     mem_arrays : (int, Bits.t array) Hashtbl.t;
     (* Stuck-at overrides (fault injection): uid -> forced value,
@@ -63,11 +63,9 @@ module Naive = struct
           (Array.make (Signal.memory_size m)
              (Bits.zero (Signal.memory_width m))))
       (Circuit.memories circuit);
-    let input_refs =
+    let inputs =
       List.map
-        (fun (n, s) ->
-          let ns = Hashtbl.find by_uid (Signal.uid s) in
-          (n, ns.value))
+        (fun (n, s) -> (n, Hashtbl.find by_uid (Signal.uid s)))
         (Circuit.inputs circuit)
     in
     let output_refs =
@@ -79,7 +77,7 @@ module Naive = struct
       circuit;
       nodes;
       by_uid;
-      input_refs;
+      inputs;
       output_refs;
       mem_arrays;
       forces = Hashtbl.create 7;
@@ -90,14 +88,18 @@ module Naive = struct
 
   let circuit t = t.circuit
 
-  let find_ref kind refs name =
-    match List.assoc_opt name refs with
-    | Some r -> r
+  let find_port kind ports name =
+    match List.assoc_opt name ports with
+    | Some p -> p
     | None ->
       invalid_arg (Printf.sprintf "Cyclesim: no %s port named %s" kind name)
 
-  let in_port t name = find_ref "input" t.input_refs name
-  let out_port t name = find_ref "output" t.output_refs name
+  let in_port t name = (find_port "input" t.inputs name).value
+  let out_port t name = find_port "output" t.output_refs name
+
+  let input t name =
+    let ns = find_port "input" t.inputs name in
+    (ns.value, Signal.width ns.signal)
 
   let mem_array t memory = Hashtbl.find t.mem_arrays (Signal.memory_uid memory)
 
@@ -271,9 +273,9 @@ module Naive = struct
     (* Input ports back to zero, so a reused simulator starts from the
        same state a freshly created one would (input refs alias the
        input nodes' value refs). *)
-    List.iter2
-      (fun (_, s) (_, r) -> r := Bits.zero (Signal.width s))
-      (Circuit.inputs t.circuit) t.input_refs;
+    List.iter
+      (fun (_, ns) -> ns.value := Bits.zero (Signal.width ns.signal))
+      t.inputs;
     t.cycles <- 0;
     settle t
 
@@ -358,14 +360,20 @@ let out_port t name =
   | Comp c -> Simcompile.out_port c name
   | Lane (b, lane) -> Simbatch.out_port b ~lane name
 
-let drive t name b =
-  let r = in_port t name in
-  let w = Signal.width (Circuit.find_input (circuit t) name) in
-  if Bits.width b <> w then
+let bind_input t name ~width =
+  let r, w =
+    match t with
+    | Naive n -> Naive.input n name
+    | Comp c -> Simcompile.input c name
+    | Lane (b, lane) -> Simbatch.input b ~lane name
+  in
+  if width <> w then
     invalid_arg
       (Printf.sprintf "Cyclesim.drive: port %s expects width %d, got %d" name w
-         (Bits.width b));
-  r := b
+         width);
+  r
+
+let drive t name b = bind_input t name ~width:(Bits.width b) := b
 
 let cycle = function
   | Naive n -> Naive.cycle n

@@ -10,11 +10,13 @@
 
     Two engines implement these semantics. [Compiled] (the default) is
     {!Simcompile}: a one-time compile pass producing specialized
-    per-node closures with activity-based skipping; steady-state cycles
-    allocate near zero. [Reference] is the original tree-walking
-    interpreter, kept as the trusted baseline the compiled engine is
-    differentially tested against. Both are observationally identical
-    through this API. *)
+    per-node closures with activity-based skipping. Its node kernels
+    allocate nothing; a steady-state cycle allocates only a copy of
+    each output whose value moved (output refs hold immutable values)
+    and of each memory word written. [Reference] is the original
+    tree-walking interpreter, kept as the trusted baseline the compiled
+    engine is differentially tested against. Both are observationally
+    identical through this API. *)
 
 type t
 
@@ -86,6 +88,12 @@ val drive : t -> string -> Bits.t -> unit
     immediately — raises [Invalid_argument] naming the port if [value]
     is not the port's declared width, instead of failing later inside
     the next settle. *)
+
+val bind_input : t -> string -> width:int -> Bits.t ref
+(** [bind_input t name ~width] is [in_port t name], after checking once
+    that [width]-bit values may be driven into it: raises exactly as
+    {!drive} would for a value of that width. Harnesses that drive a
+    port every cycle bind it once and assign the ref. *)
 
 val out_port : t -> string -> Bits.t ref
 (** Settled output value as of the last {!cycle}. Initialized to zeros

@@ -92,16 +92,31 @@ let inject t fault =
         (Cyclesim.cycle_count t.sim + cycles, signal) :: t.releases);
   t.applied <- { at = Cyclesim.cycle_count t.sim; fault } :: t.applied
 
+(* Whether any scheduled injection is due, or any release expired, at
+   cycle [now]: the common case of a step is that nothing is, and a
+   batched campaign steps every lane's injector on every cycle. *)
+let rec any_due now = function
+  | [] -> false
+  | e :: rest -> e.at <= now || any_due now rest
+
+let rec any_expired now = function
+  | [] -> false
+  | (c, _) :: rest -> c <= now || any_expired now rest
+
 (* Apply everything due at the current cycle count. Call once per
    simulation step, before [Cyclesim.cycle]. *)
 let step t =
   let now = Cyclesim.cycle_count t.sim in
-  let due, rest = List.partition (fun e -> e.at <= now) t.pending in
-  t.pending <- rest;
-  List.iter (fun e -> inject t e.fault) due;
-  let expired, live = List.partition (fun (c, _) -> c <= now) t.releases in
-  t.releases <- live;
-  List.iter (fun (_, s) -> Cyclesim.release t.sim s) expired
+  if any_due now t.pending then begin
+    let due, rest = List.partition (fun e -> e.at <= now) t.pending in
+    t.pending <- rest;
+    List.iter (fun e -> inject t e.fault) due
+  end;
+  if any_expired now t.releases then begin
+    let expired, live = List.partition (fun (c, _) -> c <= now) t.releases in
+    t.releases <- live;
+    List.iter (fun (_, s) -> Cyclesim.release t.sim s) expired
+  end
 
 let applied t = List.rev t.applied
 let pending t = t.pending

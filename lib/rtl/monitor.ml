@@ -288,11 +288,12 @@ module Batch = struct
   let violate t lane cycle monitor signal message =
     t.violations.(lane) <- { cycle; monitor; signal; message } :: t.violations.(lane)
 
+  (* Callers test [m] first: the closure a call builds is then only
+     allocated on a cycle that has a violation. *)
   let iter_lanes m f =
-    if not (Int64.equal m 0L) then
-      for l = 0 to 63 do
-        if Int64.logand (Int64.shift_right_logical m l) 1L = 1L then f l
-      done
+    for l = 0 to 63 do
+      if Int64.logand (Int64.shift_right_logical m l) 1L = 1L then f l
+    done
 
   (* Lane-wise truthiness: the OR of the signal's planes — the batched
      [peek_bool]. *)
@@ -326,15 +327,15 @@ module Batch = struct
     let prev_req = ref 0L and prev_ack = ref 0L in
     let check ~active ~cycle =
       let r = or_planes t ri rw and a = or_planes t ai aw in
-      iter_lanes
-        (Int64.logand (Int64.logand a (Int64.lognot r)) active)
-        (fun l ->
-          violate t l cycle name "ack" "ack asserted with no request pending");
+      let m = Int64.logand (Int64.logand a (Int64.lognot r)) active in
+      if m <> 0L then
+        iter_lanes m (fun l ->
+            violate t l cycle name "ack" "ack asserted with no request pending");
       let pend = Int64.logand !prev_req (Int64.lognot !prev_ack) in
-      iter_lanes
-        (Int64.logand (Int64.logand pend (Int64.lognot r)) active)
-        (fun l ->
-          violate t l cycle name "req" "request dropped before acknowledge");
+      let m = Int64.logand (Int64.logand pend (Int64.lognot r)) active in
+      if m <> 0L then
+        iter_lanes m (fun l ->
+            violate t l cycle name "req" "request dropped before acknowledge");
       (match pay with
       | Some (pi, pw, prev) ->
         (* First sample can never fire the rule (pend is empty until a
@@ -346,11 +347,13 @@ module Batch = struct
             Int64.logor !diff
               (Int64.logxor (Simbatch.read_plane t.sb pi ~plane:b) prev.(b))
         done;
-        iter_lanes
-          (Int64.logand (Int64.logand (Int64.logand pend r) !diff) active)
-          (fun l ->
-            violate t l cycle name "payload"
-              "payload changed while request pending");
+        let m =
+          Int64.logand (Int64.logand (Int64.logand pend r) !diff) active
+        in
+        if m <> 0L then
+          iter_lanes m (fun l ->
+              violate t l cycle name "payload"
+                "payload changed while request pending");
         for b = 0 to pw - 1 do
           prev.(b) <- Simbatch.read_plane t.sb pi ~plane:b
         done
@@ -382,20 +385,20 @@ module Batch = struct
         nonzero := Int64.logor !nonzero c_planes.(b)
       done;
       let e = or_planes t ei ew in
-      iter_lanes
-        (Int64.logand (Int64.logxor e (Int64.lognot !nonzero)) active)
-        (fun l ->
-          let eb = Int64.logand (Int64.shift_right_logical e l) 1L = 1L in
-          violate t l cycle name "empty"
-            (Printf.sprintf "empty flag %b inconsistent with count %d" eb
-               (lane_int c_planes cw l)));
+      let m = Int64.logand (Int64.logxor e (Int64.lognot !nonzero)) active in
+      if m <> 0L then
+        iter_lanes m (fun l ->
+            let eb = Int64.logand (Int64.shift_right_logical e l) 1L = 1L in
+            violate t l cycle name "empty"
+              (Printf.sprintf "empty flag %b inconsistent with count %d" eb
+                 (lane_int c_planes cw l)));
       (match ful with
       | Some (fi, fw) ->
         let fm = or_planes t fi fw in
-        iter_lanes
-          (Int64.logand (Int64.logand fm e) active)
-          (fun l ->
-            violate t l cycle name "full" "full and empty asserted together")
+        let m = Int64.logand (Int64.logand fm e) active in
+        if m <> 0L then
+          iter_lanes m (fun l ->
+              violate t l cycle name "full" "full and empty asserted together")
       | None -> ());
       (match depth with
       | Some d ->
@@ -414,10 +417,12 @@ module Batch = struct
               (Int64.logand cp (Int64.lognot dp))
               (Int64.logand (Int64.lognot (Int64.logxor cp dp)) !gt)
         done;
-        iter_lanes (Int64.logand !gt active) (fun l ->
-            violate t l cycle name "count"
-              (Printf.sprintf "occupancy %d exceeds capacity %d (overflow)"
-                 (lane_int c_planes cw l) d))
+        let m = Int64.logand !gt active in
+        if m <> 0L then
+          iter_lanes m (fun l ->
+              violate t l cycle name "count"
+                (Printf.sprintf "occupancy %d exceeds capacity %d (overflow)"
+                   (lane_int c_planes cw l) d))
       | None -> ());
       (* |count - prev| > 1: plane-serial subtract, then the difference
          must be 0, 1 or -1 (all-ones). *)
@@ -435,16 +440,18 @@ module Batch = struct
         eq1 := Int64.logand !eq1 (if b = 0 then dd.(b) else Int64.lognot dd.(b));
         eqm1 := Int64.logand !eqm1 dd.(b)
       done;
-      iter_lanes
-        (Int64.logand
-           (Int64.logand
-              (Int64.lognot (Int64.logor !eq0 (Int64.logor !eq1 !eqm1)))
-              !has_prev)
-           active)
-        (fun l ->
-          violate t l cycle name "count"
-            (Printf.sprintf "occupancy stepped %d -> %d in one cycle"
-               (lane_int prev cw l) (lane_int c_planes cw l)));
+      let m =
+        Int64.logand
+          (Int64.logand
+             (Int64.lognot (Int64.logor !eq0 (Int64.logor !eq1 !eqm1)))
+             !has_prev)
+          active
+      in
+      if m <> 0L then
+        iter_lanes m (fun l ->
+            violate t l cycle name "count"
+              (Printf.sprintf "occupancy stepped %d -> %d in one cycle"
+                 (lane_int prev cw l) (lane_int c_planes cw l)));
       for b = 0 to cw - 1 do
         prev.(b) <- c_planes.(b)
       done;

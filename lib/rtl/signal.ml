@@ -172,9 +172,8 @@ let prim_kind s =
   | Wire _ -> 9
 
 let mux_index ~n_cases select_value =
-  match Bits.to_int_opt select_value with
-  | Some idx when idx < n_cases -> idx
-  | Some _ | None -> n_cases - 1
+  let idx = Bits.to_index select_value ~bound:n_cases in
+  if idx < 0 then n_cases - 1 else idx
 
 let rec reduce_or t =
   if t.width = 1 then t

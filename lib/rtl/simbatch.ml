@@ -45,13 +45,38 @@ let lane_bits = 64
 (* Batched width of a scalar width. *)
 let bw w = w * lane_bits
 
+(* Plane (limb) access on the raw storage of a [Bits.t]
+   ([Bits.unsafe_data]: limb [p] at byte offset [8 * (p + 1)]) through
+   the compiler's load/store primitives, inlined here so that no plane
+   value is boxed.  A call into [Bits] per limb would box every int64
+   it returns. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] pget d p = get64 d ((p + 1) lsl 3)
+let[@inline] pset d p v = set64 d ((p + 1) lsl 3) v
+let[@inline] planes d = (Bytes.length d lsr 3) - 1
+
+(* Compare-and-set of one plane, reporting whether it moved.  The hot
+   kernels compute straight into the node's published buffer with this —
+   one pass, no scratch copy, no separate compare sweep.  Batch buffers
+   are whole limbs (width = w * 64), so raw stores never need the
+   top-limb masking of a general [Bits.set_limb]. *)
+let[@inline] store d p v =
+  if v <> pget d p then begin
+    pset d p v;
+    true
+  end
+  else false
+
 (* Replicate a scalar value into every lane: plane [b] is all-ones iff
    bit [b] is set. *)
 let broadcast scalar =
   let w = Bits.width scalar in
   let r = Bits.zero (bw w) in
+  let rd = Bits.unsafe_data r in
   for b = 0 to w - 1 do
-    if Bits.bit scalar b then Bits.unsafe_set_limb r b (-1L)
+    if Bits.bit scalar b then pset rd b (-1L)
   done;
   r
 
@@ -64,55 +89,53 @@ let pack_lane ~dst ~lane scalar =
   let sd = Bits.unsafe_data scalar in
   for b = 0 to Bits.width scalar - 1 do
     let v =
-      Int64.logand
-        (Int64.shift_right_logical (Array.unsafe_get sd (b lsr 6)) (b land 63))
-        1L
+      Int64.logand (Int64.shift_right_logical (pget sd (b lsr 6)) (b land 63)) 1L
     in
-    let p = Array.unsafe_get dd b in
-    let p' = if Int64.equal v 1L then Int64.logor p m else Int64.logand p nm in
-    if not (Int64.equal p' p) then Array.unsafe_set dd b p'
+    let p = pget dd b in
+    let p' = if v = 1L then Int64.logor p m else Int64.logand p nm in
+    if p' <> p then pset dd b p'
+  done
+
+(* Lane [lane] of a batched value into the scalar [dst], all of whose
+   bits are written (so it stays normalized). *)
+let extract_lane_into ~dst src ~lane =
+  let sd = Bits.unsafe_data src and rd = Bits.unsafe_data dst in
+  let w = Bits.width dst in
+  for k = 0 to planes rd - 1 do
+    let acc = ref 0L in
+    for b = k * 64 to min w ((k + 1) * 64) - 1 do
+      acc :=
+        Int64.logor !acc
+          (Int64.shift_left
+             (Int64.logand (Int64.shift_right_logical (pget sd b) lane) 1L)
+             (b land 63))
+    done;
+    pset rd k !acc
   done
 
 (* Lane [lane] of a batched value as a fresh scalar of width [w]. *)
 let extract_lane src ~lane w =
   let r = Bits.zero w in
-  let sd = Bits.unsafe_data src in
-  let rd = Bits.unsafe_data r in
-  if w <= 64 then begin
-    (* Single-limb fast path: gather into one word, write once. *)
-    let acc = ref 0L in
-    for b = 0 to w - 1 do
-      acc :=
-        Int64.logor !acc
-          (Int64.shift_left
-             (Int64.logand
-                (Int64.shift_right_logical (Array.unsafe_get sd b) lane)
-                1L)
-             b)
-    done;
-    if not (Int64.equal !acc 0L) then Array.unsafe_set rd 0 !acc
-  end
-  else
-    for b = 0 to w - 1 do
-      if
-        Int64.logand
-          (Int64.shift_right_logical (Array.unsafe_get sd b) lane)
-          1L
-        = 1L
-      then
-        Array.unsafe_set rd (b lsr 6)
-          (Int64.logor (Array.unsafe_get rd (b lsr 6))
-             (Int64.shift_left 1L (b land 63)))
-    done;
+  extract_lane_into ~dst:r src ~lane;
   r
+
+(* Lane [lane] of the batched address [ad] as an index below [bound], or
+   -1 — [Bits.to_index] of the extracted lane, without extracting it. *)
+let lane_index ad ~lane ~bound =
+  let a = ref 0 in
+  for b = 0 to planes ad - 1 do
+    if Int64.logand (Int64.shift_right_logical (pget ad b) lane) 1L <> 0L then
+      a := if b < 62 && !a >= 0 then !a lor (1 lsl b) else -1
+  done;
+  if !a < bound then !a else -1
 
 (* Per-lane truthiness mask: bit [l] set iff lane [l] has any bit set —
    the batched analogue of [Bits.to_bool], used for enables/clears. *)
 let lane_or batched =
   let d = Bits.unsafe_data batched in
   let acc = ref 0L in
-  for b = 0 to Array.length d - 1 do
-    acc := Int64.logor !acc (Array.unsafe_get d b)
+  for b = 0 to planes d - 1 do
+    acc := Int64.logor !acc (pget d b)
   done;
   !acc
 
@@ -156,6 +179,7 @@ type t = {
          lets the sync-read kernels memoise like the register ones. *)
   inputs : input array;
   output_refs : (string * int * Bits.t ref array) array; (* scalar per lane *)
+  out_scratch : Bits.t array; (* per output: a lane's value, extracted *)
   buf_gen : int array; (* bumped whenever bufs.(i) changes *)
   out_gen : int array; (* buf_gen at last refresh, per output *)
   mutable out_refs_used : bool;
@@ -201,19 +225,6 @@ let touched t i =
 let publish t i v =
   if Bits.blit_changed ~src:v ~dst:t.bufs.(i) then touched t i
 
-(* Compare-and-set of one plane, accumulating "did anything move".
-   The hot kernels compute straight into the node's published buffer
-   with this — one pass, no scratch copy, no separate compare sweep.
-   They work on the raw limb arrays ([Bits.unsafe_data]): batch
-   buffers are whole limbs (width = w * 64), so raw stores never need
-   the top-limb masking of a general [Bits.set_limb], and the loops
-   stay free of per-limb cross-module calls. *)
-let store ~changed (arr : int64 array) p v =
-  if not (Int64.equal v (Array.unsafe_get arr p)) then begin
-    Array.unsafe_set arr p v;
-    changed := true
-  end
-
 (* Blend forced lanes into the just-published value of node [j]:
    plane' = (plane & ~mask) | (forced_plane & mask). Runs after the
    node's own eval, so unforced lanes keep their computed value. *)
@@ -221,16 +232,12 @@ let apply_force t j m =
   match t.force_vals.(j) with
   | None -> ()
   | Some fv ->
-    let buf = t.bufs.(j) in
+    let bd = Bits.unsafe_data t.bufs.(j) and fd = Bits.unsafe_data fv in
     let nm = Int64.lognot m in
     let changed = ref false in
-    for b = 0 to Bits.limb_count buf - 1 do
-      let old = Bits.unsafe_get_limb buf b in
-      let nv = Int64.logor (Int64.logand old nm) (Int64.logand (Bits.unsafe_get_limb fv b) m) in
-      if not (Int64.equal nv old) then begin
-        Bits.unsafe_set_limb buf b nv;
-        changed := true
-      end
+    for b = 0 to planes bd - 1 do
+      let nv = Int64.logor (Int64.logand (pget bd b) nm) (Int64.logand (pget fd b) m) in
+      if store bd b nv then changed := true
     done;
     if !changed then begin
       t.buf_gen.(j) <- t.buf_gen.(j) + 1;
@@ -253,9 +260,9 @@ let instantiate ?(lanes = lane_bits) plan =
   let mem_arrays = Hashtbl.create 7 in
   let mem_gens = Hashtbl.create 7 in
   Array.iter
-    (fun { Simcompile.m_uid; m_size; m_width } ->
+    (fun { Simcompile.m_uid; m_size; m_zero; _ } ->
       Hashtbl.replace mem_arrays m_uid
-        (Array.init lanes (fun _ -> Array.make m_size (Bits.zero m_width)));
+        (Array.init lanes (fun _ -> Array.make m_size m_zero));
       Hashtbl.replace mem_gens m_uid (ref 0))
     (Simcompile.plan_mems plan);
   let mem_gen_of uid = Hashtbl.find mem_gens uid in
@@ -282,6 +289,9 @@ let instantiate ?(lanes = lane_bits) plan =
            (name, i, Array.init lanes (fun _ -> ref (Bits.zero (width_of i)))))
          (Simcompile.plan_outputs plan))
   in
+  let out_scratch =
+    Array.map (fun (_, i, _) -> Bits.zero (width_of i)) output_refs
+  in
   let t =
     {
       plan;
@@ -300,6 +310,7 @@ let instantiate ?(lanes = lane_bits) plan =
       mem_gens;
       inputs;
       output_refs;
+      out_scratch;
       buf_gen = Array.make n 0;
       out_gen = Array.make (Array.length output_refs) (-1);
       out_refs_used = false;
@@ -338,24 +349,24 @@ let instantiate ?(lanes = lane_bits) plan =
             fun () ->
               let changed = ref false in
               for p = 0 to w - 1 do
-                store ~changed dd p
-                  (Int64.logand (Array.unsafe_get ad p) (Array.unsafe_get bd p))
+                if store dd p (Int64.logand (pget ad p) (pget bd p)) then
+                  changed := true
               done;
               if !changed then touched t i
           | Signal.Or ->
             fun () ->
               let changed = ref false in
               for p = 0 to w - 1 do
-                store ~changed dd p
-                  (Int64.logor (Array.unsafe_get ad p) (Array.unsafe_get bd p))
+                if store dd p (Int64.logor (pget ad p) (pget bd p)) then
+                  changed := true
               done;
               if !changed then touched t i
           | Signal.Xor ->
             fun () ->
               let changed = ref false in
               for p = 0 to w - 1 do
-                store ~changed dd p
-                  (Int64.logxor (Array.unsafe_get ad p) (Array.unsafe_get bd p))
+                if store dd p (Int64.logxor (pget ad p) (pget bd p)) then
+                  changed := true
               done;
               if !changed then touched t i
           | Signal.Add ->
@@ -363,9 +374,9 @@ let instantiate ?(lanes = lane_bits) plan =
               let changed = ref false in
               let carry = ref 0L in
               for p = 0 to w - 1 do
-                let x = Array.unsafe_get ad p and y = Array.unsafe_get bd p in
+                let x = pget ad p and y = pget bd p in
                 let axy = Int64.logxor x y in
-                store ~changed dd p (Int64.logxor axy !carry);
+                if store dd p (Int64.logxor axy !carry) then changed := true;
                 carry :=
                   Int64.logor (Int64.logand x y) (Int64.logand !carry axy)
               done;
@@ -376,51 +387,46 @@ let instantiate ?(lanes = lane_bits) plan =
               let changed = ref false in
               let carry = ref (-1L) in
               for p = 0 to w - 1 do
-                let x = Array.unsafe_get ad p
-                and y = Int64.lognot (Array.unsafe_get bd p) in
+                let x = pget ad p and y = Int64.lognot (pget bd p) in
                 let axy = Int64.logxor x y in
-                store ~changed dd p (Int64.logxor axy !carry);
+                if store dd p (Int64.logxor axy !carry) then changed := true;
                 carry :=
                   Int64.logor (Int64.logand x y) (Int64.logand !carry axy)
               done;
               if !changed then touched t i
           | Signal.Eq ->
-            let aw = Array.length ad in
+            let aw = planes ad in
             fun () ->
               let diff = ref 0L in
               for p = 0 to aw - 1 do
-                diff :=
-                  Int64.logor !diff
-                    (Int64.logxor (Array.unsafe_get ad p) (Array.unsafe_get bd p))
+                diff := Int64.logor !diff (Int64.logxor (pget ad p) (pget bd p))
               done;
-              let changed = ref false in
-              store ~changed dd 0 (Int64.lognot !diff);
-              if !changed then touched t i
+              if store dd 0 (Int64.lognot !diff) then touched t i
           | Signal.Lt ->
             (* Unsigned compare, LSB to MSB:
                lt' = (~a & b) | (a xnor b) & lt. *)
-            let aw = Array.length ad in
+            let aw = planes ad in
             fun () ->
               let lt = ref 0L in
               for p = 0 to aw - 1 do
-                let x = Array.unsafe_get ad p and y = Array.unsafe_get bd p in
+                let x = pget ad p and y = pget bd p in
                 let same = Int64.lognot (Int64.logxor x y) in
                 lt :=
                   Int64.logor
                     (Int64.logand (Int64.lognot x) y)
                     (Int64.logand same !lt)
               done;
-              let changed = ref false in
-              store ~changed dd 0 !lt;
-              if !changed then touched t i
+              if store dd 0 !lt then touched t i
           | Signal.Mul ->
-            let aw = Bits.limb_count a in
+            let aw = planes ad in
             let scratch = Bits.zero (bw w) in
+            let av = Bits.zero aw and bv = Bits.zero aw and pv = Bits.zero aw in
             fun () ->
               for l = 0 to lanes - 1 do
-                let av = extract_lane a ~lane:l aw
-                and bv = extract_lane b ~lane:l aw in
-                pack_lane ~dst:scratch ~lane:l (Bits.mul av bv)
+                extract_lane_into ~dst:av a ~lane:l;
+                extract_lane_into ~dst:bv b ~lane:l;
+                Bits.mul_into ~dst:pv av bv;
+                pack_lane ~dst:scratch ~lane:l pv
               done;
               publish t i scratch)
         | Simcompile.O_not a ->
@@ -430,7 +436,7 @@ let instantiate ?(lanes = lane_bits) plan =
           fun () ->
             let changed = ref false in
             for p = 0 to w - 1 do
-              store ~changed dd p (Int64.lognot (Array.unsafe_get ad p))
+              if store dd p (Int64.lognot (pget ad p)) then changed := true
             done;
             if !changed then touched t i
         | Simcompile.O_concat parts ->
@@ -456,9 +462,9 @@ let instantiate ?(lanes = lane_bits) plan =
           else begin
             let dd = Bits.unsafe_data bufs.(i) in
             let seld = Bits.unsafe_data sel in
-            let sw = Array.length seld in
+            let sw = planes seld in
             let cased = Array.map Bits.unsafe_data cases in
-            let masks = Array.make (n_cases - 1) 0L in
+            let masks = Bits.unsafe_data (Bits.zero (bw (n_cases - 1))) in
             fun () ->
               (* A lane matches case [c] iff every select plane agrees
                  with the corresponding bit of [c]; lanes matching no
@@ -468,26 +474,25 @@ let instantiate ?(lanes = lane_bits) plan =
               for c = 0 to n_cases - 2 do
                 let m = ref (-1L) in
                 for b = 0 to sw - 1 do
-                  let p = Array.unsafe_get seld b in
+                  let p = pget seld b in
                   let want = b < 62 && (c lsr b) land 1 = 1 in
                   m := Int64.logand !m (if want then p else Int64.lognot p)
                 done;
-                masks.(c) <- !m;
+                pset masks c !m;
                 any := Int64.logor !any !m
               done;
               let last_mask = Int64.lognot !any in
               let last = cased.(n_cases - 1) in
               let changed = ref false in
               for b = 0 to w - 1 do
-                let acc = ref (Int64.logand last_mask (Array.unsafe_get last b)) in
+                let acc = ref (Int64.logand last_mask (pget last b)) in
                 for c = 0 to n_cases - 2 do
                   acc :=
                     Int64.logor !acc
-                      (Int64.logand
-                         (Array.unsafe_get masks c)
-                         (Array.unsafe_get (Array.unsafe_get cased c) b))
+                      (Int64.logand (pget masks c)
+                         (pget (Array.unsafe_get cased c) b))
                 done;
-                store ~changed dd b !acc
+                if store dd b !acc then changed := true
               done;
               if !changed then touched t i
           end
@@ -496,21 +501,53 @@ let instantiate ?(lanes = lane_bits) plan =
           fun () -> publish t i st
         | Simcompile.O_mem_read_async { mem_uid; mem_width; addr } ->
           let arrs = Hashtbl.find mem_arrays mem_uid in
-          let addr = bufs.(addr) in
-          let aw = Bits.limb_count addr in
-          let z = Bits.zero mem_width in
-          let dst = Bits.zero (bw mem_width) in
+          let ad = Bits.unsafe_data bufs.(addr) in
+          let dd = Bits.unsafe_data bufs.(i) in
+          (* The lanes' words are gathered plane by plane into [acc],
+             then published with one compare-and-set per plane. *)
+          let acc = Bits.unsafe_data (Bits.zero (bw mem_width)) in
+          let bound = Array.length arrs.(0) in
+          let all =
+            if lanes = lane_bits then -1L
+            else Int64.pred (Int64.shift_left 1L lanes)
+          in
           fun () ->
-            for l = 0 to lanes - 1 do
-              let av = extract_lane addr ~lane:l aw in
-              let v =
-                match Bits.to_int_opt av with
-                | Some a when a < Array.length arrs.(l) -> arrs.(l).(a)
-                | Some _ | None -> z
-              in
-              pack_lane ~dst ~lane:l v
+            for b = 0 to mem_width - 1 do
+              pset acc b 0L
             done;
-            publish t i dst
+            (* Lanes usually agree on the address: find those that hold
+               lane 0's, and decode the address per lane only for the
+               rest. *)
+            let a0 = lane_index ad ~lane:0 ~bound in
+            let same = ref all in
+            for b = 0 to planes ad - 1 do
+              let p = pget ad b in
+              same :=
+                Int64.logand !same
+                  (if Int64.logand p 1L <> 0L then p else Int64.lognot p)
+            done;
+            for l = 0 to lanes - 1 do
+              let a =
+                if lane_bit !same l then a0 else lane_index ad ~lane:l ~bound
+              in
+              if a >= 0 then begin
+                let vd = Bits.unsafe_data arrs.(l).(a) in
+                let m = Int64.shift_left 1L l in
+                for b = 0 to mem_width - 1 do
+                  if
+                    Int64.logand
+                      (Int64.shift_right_logical (pget vd (b lsr 6)) (b land 63))
+                      1L
+                    <> 0L
+                  then pset acc b (Int64.logor (pget acc b) m)
+                done
+              end
+            done;
+            let changed = ref false in
+            for b = 0 to mem_width - 1 do
+              if store dd b (pget acc b) then changed := true
+            done;
+            if !changed then touched t i
         | Simcompile.O_wire d ->
           let d = bufs.(d) in
           fun () -> publish t i d
@@ -529,7 +566,7 @@ let instantiate ?(lanes = lane_bits) plan =
         let clear = Option.map (fun j -> bufs.(j)) clear in
         let ctd = Bits.unsafe_data (broadcast clear_to) in
         let std = Bits.unsafe_data st and nxd = Bits.unsafe_data nx in
-        let w = Array.length std in
+        let w = planes std in
         (* Generation memo: with d / enable / clear unchanged since the
            last recompute and the previous commit a no-op, the register
            is at a fixpoint (enabled lanes already hold d, cleared
@@ -554,13 +591,13 @@ let instantiate ?(lanes = lane_bits) plan =
             let em = match enable with Some e -> lane_or e | None -> -1L in
             let ncm = Int64.lognot cm and nem = Int64.lognot em in
             for b = 0 to w - 1 do
-              Array.unsafe_set nxd b
+              pset nxd b
                 (Int64.logor
-                   (Int64.logand cm (Array.unsafe_get ctd b))
+                   (Int64.logand cm (pget ctd b))
                    (Int64.logand ncm
                       (Int64.logor
-                         (Int64.logand em (Array.unsafe_get dd b))
-                         (Int64.logand nem (Array.unsafe_get std b)))))
+                         (Int64.logand em (pget dd b))
+                         (Int64.logand nem (pget std b)))))
             done;
             ran := true
           end
@@ -582,8 +619,7 @@ let instantiate ?(lanes = lane_bits) plan =
         let st = Option.get state.(i) and nx = Option.get next_state.(i) in
         let arrs = Hashtbl.find mem_arrays mem_uid in
         let addr_idx = addr and en_idx = enable in
-        let addr = bufs.(addr) in
-        let aw = Bits.limb_count addr in
+        let ad = Bits.unsafe_data bufs.(addr) in
         let enable = Option.map (fun j -> bufs.(j)) enable in
         let z = Bits.zero mem_width in
         let mem_gen = mem_gen_of mem_uid in
@@ -606,13 +642,8 @@ let instantiate ?(lanes = lane_bits) plan =
             let em = match enable with Some e -> lane_or e | None -> -1L in
             for l = 0 to lanes - 1 do
               if lane_bit em l then begin
-                let av = extract_lane addr ~lane:l aw in
-                let v =
-                  match Bits.to_int_opt av with
-                  | Some a when a < Array.length arrs.(l) -> arrs.(l).(a)
-                  | Some _ | None -> z
-                in
-                pack_lane ~dst:nx ~lane:l v
+                let a = lane_index ad ~lane:l ~bound:(Array.length arrs.(l)) in
+                pack_lane ~dst:nx ~lane:l (if a < 0 then z else arrs.(l).(a))
               end
             done;
             ran := true
@@ -640,22 +671,21 @@ let instantiate ?(lanes = lane_bits) plan =
       let enable = bufs.(wp_enable)
       and addr = bufs.(wp_addr)
       and data = bufs.(wp_data) in
-      let aw = Bits.limb_count addr and dw = Bits.limb_count data in
+      let ad = Bits.unsafe_data addr and dv = Bits.zero (Bits.limb_count data) in
       let write () =
         let em = lane_or enable in
         if not (Int64.equal em 0L) then begin
           let any = ref false in
           for l = 0 to lanes - 1 do
             if lane_bit em l then begin
-              let av = extract_lane addr ~lane:l aw in
-              match Bits.to_int_opt av with
-              | Some a when a < Array.length arrs.(l) ->
-                let dv = extract_lane data ~lane:l dw in
+              let a = lane_index ad ~lane:l ~bound:(Array.length arrs.(l)) in
+              if a >= 0 then begin
+                extract_lane_into ~dst:dv data ~lane:l;
                 if not (Bits.equal arrs.(l).(a) dv) then begin
-                  arrs.(l).(a) <- dv;
+                  arrs.(l).(a) <- Bits.copy dv;
                   any := true
                 end
-              | Some _ | None -> ()
+              end
             end
           done;
           if !any then begin
@@ -684,18 +714,24 @@ let index t s =
   | Some i -> i
   | None -> invalid_arg "Cyclesim: signal not part of this circuit"
 
-let in_port t ~lane name =
-  check_lane t lane;
-  (* A ref is escaping: from now on every settle must scan the lanes
-     for re-assigned refs (see [in_refs_used]). *)
-  t.in_refs_used <- true;
+let input_index t name =
   let rec go k =
     if k >= Array.length t.inputs then
       invalid_arg (Printf.sprintf "Cyclesim: no input port named %s" name)
-    else if String.equal t.inputs.(k).in_name name then t.inputs.(k).in_refs.(lane)
+    else if String.equal t.inputs.(k).in_name name then k
     else go (k + 1)
   in
   go 0
+
+let input t ~lane name =
+  check_lane t lane;
+  let inp = t.inputs.(input_index t name) in
+  (* A ref is escaping: from now on every settle must scan the lanes
+     for re-assigned refs (see [in_refs_used]). *)
+  t.in_refs_used <- true;
+  (inp.in_refs.(lane), Signal.width t.signals.(inp.in_index))
+
+let in_port t ~lane name = fst (input t ~lane name)
 
 let settle_comb t =
   t.settles <- t.settles + 1;
@@ -749,10 +785,10 @@ let refresh_outputs t =
         let g = t.buf_gen.(i) in
         if g <> t.out_gen.(k) then begin
           t.out_gen.(k) <- g;
-          let w = Signal.width t.signals.(i) in
+          let v = t.out_scratch.(k) in
           for l = 0 to t.lanes - 1 do
-            let v = extract_lane t.bufs.(i) ~lane:l w in
-            if not (Bits.equal !(refs.(l)) v) then refs.(l) := v
+            extract_lane_into ~dst:v t.bufs.(i) ~lane:l;
+            if not (Bits.equal !(refs.(l)) v) then refs.(l) := Bits.copy v
           done
         end)
       t.output_refs
@@ -895,13 +931,12 @@ let reset t =
         Bits.blit ~src:b ~dst:(Option.get t.next_state.(i))
       | None -> ())
     (Simcompile.plan_state_init t.plan);
-  Hashtbl.iter
-    (fun _ arrs ->
+  Array.iter
+    (fun { Simcompile.m_uid; m_zero; _ } ->
       Array.iter
-        (fun arr ->
-          Array.fill arr 0 (Array.length arr) (Bits.zero (Bits.width arr.(0))))
-        arrs)
-    t.mem_arrays;
+        (fun arr -> Array.fill arr 0 (Array.length arr) m_zero)
+        (Hashtbl.find t.mem_arrays m_uid))
+    (Simcompile.plan_mems t.plan);
   Array.iter
     (fun inp ->
       let w = Signal.width t.signals.(inp.in_index) in
@@ -910,8 +945,9 @@ let reset t =
          fresh zero, and zero the packed image directly — with no refs
          in use the settle sweep trusts the image alone. *)
       Array.iteri (fun l _ -> inp.in_last.(l) <- Bits.zero w) inp.in_last;
-      for p = 0 to Bits.limb_count inp.in_packed - 1 do
-        Bits.unsafe_set_limb inp.in_packed p 0L
+      let d = Bits.unsafe_data inp.in_packed in
+      for p = 0 to planes d - 1 do
+        pset d p 0L
       done;
       inp.in_dirty <- true)
     t.inputs;
@@ -939,15 +975,6 @@ let kind_evals t = Array.copy t.kind_evals
 
 let node_index t s = index t s
 
-let input_index t name =
-  let rec go k =
-    if k >= Array.length t.inputs then
-      invalid_arg (Printf.sprintf "Cyclesim: no input port named %s" name)
-    else if String.equal t.inputs.(k).in_name name then k
-    else go (k + 1)
-  in
-  go 0
-
 let out_node t name =
   let rec go k =
     if k >= Array.length t.output_refs then
@@ -958,7 +985,13 @@ let out_node t name =
   in
   go 0
 
-let read_plane t i ~plane = Bits.get_limb t.bufs.(i) plane
+let check_plane d plane =
+  if plane < 0 || plane >= planes d then invalid_arg "index out of bounds"
+
+let read_plane t i ~plane =
+  let d = Bits.unsafe_data t.bufs.(i) in
+  check_plane d plane;
+  pget d plane
 
 (* Overwrite the [mask] lanes of one input bit-plane with [bits];
    lanes outside [mask] keep their previous value, exactly as a scalar
@@ -969,12 +1002,13 @@ let read_plane t i ~plane = Bits.get_limb t.bufs.(i) plane
    [l] overwrites all of lane [l]'s planes at the next settle. *)
 let write_input_plane t k ~plane ~mask ~bits =
   let inp = t.inputs.(k) in
-  let ip = inp.in_packed in
-  let old = Bits.get_limb ip plane in
+  let ip = Bits.unsafe_data inp.in_packed in
+  check_plane ip plane;
+  let old = pget ip plane in
   let nv =
     Int64.logor (Int64.logand old (Int64.lognot mask)) (Int64.logand bits mask)
   in
-  if not (Int64.equal nv old) then begin
-    Bits.set_limb ip plane nv;
+  if nv <> old then begin
+    pset ip plane nv;
     inp.in_dirty <- true
   end

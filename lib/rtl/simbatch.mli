@@ -59,6 +59,9 @@ val in_port : t -> lane:int -> string -> Bits.t ref
 (** Scalar input ref for one lane; packed into the transposed batch at
     the next settle (width-checked there, like the scalar engines). *)
 
+val input : t -> lane:int -> string -> Bits.t ref * int
+(** [in_port] and the port's declared width, from one lookup. *)
+
 val out_port : t -> lane:int -> string -> Bits.t ref
 (** Scalar settled output for one lane, refreshed after each settle. *)
 

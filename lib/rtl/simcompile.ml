@@ -80,7 +80,9 @@ type edge =
     }
 
 type write_port = { wp_mem_uid : int; wp_enable : int; wp_addr : int; wp_data : int }
-type mem_spec = { m_uid : int; m_size : int; m_width : int }
+(* [m_zero] is the power-on word, shared by every instance and lane
+   (see the interface). *)
+type mem_spec = { m_uid : int; m_size : int; m_width : int; m_zero : Bits.t }
 
 type plan = {
   p_circuit : Circuit.t;
@@ -114,7 +116,7 @@ type t = {
   mem_arrays : (int, Bits.t array) Hashtbl.t; (* per-instance arrays *)
   mem_readers : (int, int array) Hashtbl.t; (* == plan's (shared) *)
   inputs : input array;
-  output_refs : (string * int * Bits.t ref) list;
+  output_refs : (string * int * Bits.t ref) array;
   (* Edge closures are built after the record exists (they capture it
      for [mark]), hence mutable and assigned in place — never replace
      the record itself: evaluation closures alias it. *)
@@ -274,6 +276,7 @@ let plan circuit =
              m_uid = Signal.memory_uid m;
              m_size = Signal.memory_size m;
              m_width = Signal.memory_width m;
+             m_zero = Bits.zero (Signal.memory_width m);
            })
          (Circuit.memories circuit))
   in
@@ -347,8 +350,7 @@ let instantiate plan =
   let mem_arrays = Hashtbl.create 7 in
   Array.iter
     (fun m ->
-      Hashtbl.replace mem_arrays m.m_uid
-        (Array.make m.m_size (Bits.zero m.m_width)))
+      Hashtbl.replace mem_arrays m.m_uid (Array.make m.m_size m.m_zero))
     plan.p_mems;
   let inputs =
     Array.map
@@ -357,9 +359,10 @@ let instantiate plan =
       plan.p_inputs
   in
   let output_refs =
-    List.map
-      (fun (name, i) -> (name, i, ref (Bits.zero (width_of i))))
-      plan.p_outputs
+    Array.of_list
+      (List.map
+         (fun (name, i) -> (name, i, ref (Bits.zero (width_of i))))
+         plan.p_outputs)
   in
   let t =
     {
@@ -448,10 +451,8 @@ let instantiate plan =
           let addr = bufs.(addr) in
           let z = Bits.zero mem_width in
           fun () ->
-            publish t i
-              (match Bits.to_int_opt addr with
-              | Some a when a < Array.length arr -> arr.(a)
-              | Some _ | None -> z)
+            let a = Bits.to_index addr ~bound:(Array.length arr) in
+            publish t i (if a < 0 then z else arr.(a))
         | O_wire d ->
           let d = bufs.(d) in
           fun () -> publish t i d
@@ -496,12 +497,8 @@ let instantiate plan =
             match enable with Some e -> Bits.to_bool e | None -> true
           in
           if enabled then begin
-            let src =
-              match Bits.to_int_opt addr with
-              | Some a when a < Array.length arr -> arr.(a)
-              | Some _ | None -> z
-            in
-            Bits.blit ~src ~dst:nx
+            let a = Bits.to_index addr ~bound:(Array.length arr) in
+            Bits.blit ~src:(if a < 0 then z else arr.(a)) ~dst:nx
           end
           else Bits.blit ~src:st ~dst:nx
         in
@@ -522,14 +519,15 @@ let instantiate plan =
       and addr = bufs.(wp_addr)
       and data = bufs.(wp_data) in
       let write () =
-        if Bits.to_bool enable then
-          match Bits.to_int_opt addr with
-          | Some a when a < Array.length arr ->
-            if not (Bits.equal arr.(a) data) then begin
-              arr.(a) <- Bits.copy data;
-              Array.iter (fun j -> mark t j) readers
-            end
-          | Some _ | None -> ()
+        if Bits.to_bool enable then begin
+          let a = Bits.to_index addr ~bound:(Array.length arr) in
+          if a >= 0 && not (Bits.equal arr.(a) data) then begin
+            arr.(a) <- Bits.copy data;
+            for k = 0 to Array.length readers - 1 do
+              mark t readers.(k)
+            done
+          end
+        end
       in
       writes := write :: !writes)
     plan.p_write_ports;
@@ -547,21 +545,30 @@ let index t s =
   | Some i -> i
   | None -> invalid_arg "Cyclesim: signal not part of this circuit"
 
-let in_port t name =
+let find_input t name =
   let rec go k =
     if k >= Array.length t.inputs then
       invalid_arg (Printf.sprintf "Cyclesim: no input port named %s" name)
-    else if String.equal t.inputs.(k).in_name name then t.inputs.(k).in_ref
+    else if String.equal t.inputs.(k).in_name name then t.inputs.(k)
     else go (k + 1)
   in
   go 0
 
+let in_port t name = (find_input t name).in_ref
+
+let input t name =
+  let inp = find_input t name in
+  (inp.in_ref, Signal.width t.signals.(inp.in_index))
+
 let out_port t name =
-  let rec go = function
-    | [] -> invalid_arg (Printf.sprintf "Cyclesim: no output port named %s" name)
-    | (n, _, r) :: rest -> if String.equal n name then r else go rest
+  let rec go k =
+    if k >= Array.length t.output_refs then
+      invalid_arg (Printf.sprintf "Cyclesim: no output port named %s" name)
+    else
+      let n, _, r = t.output_refs.(k) in
+      if String.equal n name then r else go (k + 1)
   in
-  go t.output_refs
+  go 0
 
 let settle_comb t =
   t.settles <- t.settles + 1;
@@ -591,11 +598,12 @@ let settle_comb t =
     incr i
   done
 
+(* Output refs hold immutable values, so a moved output costs one copy. *)
 let refresh_outputs t =
-  List.iter
-    (fun (_, i, r) ->
-      if not (Bits.equal !r t.bufs.(i)) then r := Bits.copy t.bufs.(i))
-    t.output_refs
+  for k = 0 to Array.length t.output_refs - 1 do
+    let _, i, r = t.output_refs.(k) in
+    if not (Bits.equal !r t.bufs.(i)) then r := Bits.copy t.bufs.(i)
+  done
 
 let settle t =
   settle_comb t;
@@ -685,10 +693,11 @@ let reset t =
         Bits.blit ~src:z ~dst:nx
       | _ -> ())
     t.signals;
-  Hashtbl.iter
-    (fun _ arr ->
-      Array.fill arr 0 (Array.length arr) (Bits.zero (Bits.width arr.(0))))
-    t.mem_arrays;
+  Array.iter
+    (fun m ->
+      let arr = Hashtbl.find t.mem_arrays m.m_uid in
+      Array.fill arr 0 (Array.length arr) m.m_zero)
+    t.plan.p_mems;
   (* Input ports go back to zero so a reused instance starts from the
      same state a freshly instantiated one would — without this, a
      stale driven value would leak into the next work item. *)

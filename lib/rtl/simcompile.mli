@@ -37,6 +37,10 @@ val compile : Circuit.t -> t
 val circuit : t -> Circuit.t
 
 val in_port : t -> string -> Bits.t ref
+
+val input : t -> string -> Bits.t ref * int
+(** The input port's ref and its declared width, from one lookup. *)
+
 val out_port : t -> string -> Bits.t ref
 
 val settle : t -> unit
@@ -98,7 +102,17 @@ type edge =
     }
 
 type write_port = { wp_mem_uid : int; wp_enable : int; wp_addr : int; wp_data : int }
-type mem_spec = { m_uid : int; m_size : int; m_width : int }
+type mem_spec = {
+  m_uid : int;
+  m_size : int;
+  m_width : int;
+  m_zero : Bits.t;
+      (** The power-on word, shared by every instance and lane: memory
+          words are immutable values (a write replaces the word), and a
+          value that has left the minor heap lets [Array.make] and
+          [Array.fill] of a large memory skip a forced minor collection
+          and a write-barrier entry per word. *)
+}
 
 val plan_n : plan -> int
 (** Number of nodes in the schedule. *)

@@ -1,40 +1,57 @@
 open Hwpat_rtl
 
+(* Ports are bound once, in [create]; the per-cycle path only assigns
+   and reads refs. *)
 type t = {
-  sim : Cyclesim.t;
-  valid_port : string;
-  data_port : string;
-  ready_port : string;
+  valid : Bits.t ref;
+  data : Bits.t ref;
+  ready : Bits.t ref option;
   ready_every : int;
   mutable tick : int;
   mutable captured : int list; (* newest first *)
+  mutable count : int;
 }
+
+(* Shared ready values: refs only ever hold immutable values. *)
+let high = Bits.one 1
+let low = Bits.zero 1
 
 let create ?(valid_port = "out_valid") ?(data_port = "out_data")
     ?(ready_port = "out_ready") ?(ready_every = 1) sim () =
   if ready_every < 1 then invalid_arg "Vga_sink.create: ready_every must be >= 1";
-  { sim; valid_port; data_port; ready_port; ready_every; tick = 0; captured = [] }
+  {
+    valid = Cyclesim.out_port sim valid_port;
+    data = Cyclesim.out_port sim data_port;
+    ready =
+      (if ready_port = "" then None
+       else Some (Cyclesim.bind_input sim ready_port ~width:1));
+    ready_every;
+    tick = 0;
+    captured = [];
+    count = 0;
+  }
 
 let drive t =
-  if t.ready_port <> "" then begin
-    let ready = t.tick mod t.ready_every = 0 in
-    Cyclesim.drive t.sim t.ready_port (Bits.of_bool ready)
-  end;
+  (match t.ready with
+  | Some r -> r := if t.tick mod t.ready_every = 0 then high else low
+  | None -> ());
   t.tick <- t.tick + 1
 
 let observe t =
-  if Bits.to_bool !(Cyclesim.out_port t.sim t.valid_port) then
-    t.captured <-
-      Bits.to_int !(Cyclesim.out_port t.sim t.data_port) :: t.captured
+  if Bits.to_bool !(t.valid) then begin
+    t.captured <- Bits.to_int !(t.data) :: t.captured;
+    t.count <- t.count + 1
+  end
 
 let collected t = List.rev t.captured
-let count t = List.length t.captured
+let count t = t.count
 
 let to_frame t ~width ~height ~depth =
   Frame.of_row_major ~width ~height ~depth (collected t)
 
 let clear t =
   t.captured <- [];
+  t.count <- 0;
   t.tick <- 0
 
 (* Plane-level variant over a whole batch: one valid-plane read per

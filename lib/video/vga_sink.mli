@@ -20,7 +20,9 @@ val create :
 (** Defaults: ["out_valid"], ["out_data"], ["out_ready"],
     [ready_every = 1] (always ready). [ready_every = n] asserts ready
     one cycle in [n]. If the circuit has no ready input, pass
-    [ready_port:""]. *)
+    [ready_port:""]. The ports are bound here, once: a missing port,
+    or a ready input that is not 1 bit wide, raises the
+    [Invalid_argument] {!Cyclesim.drive} would. *)
 
 val drive : t -> unit
 val observe : t -> unit
@@ -29,6 +31,7 @@ val collected : t -> int list
 (** Captured words, oldest first. *)
 
 val count : t -> int
+(** Words captured so far; constant time. *)
 
 val to_frame : t -> width:int -> height:int -> depth:int -> Frame.t
 (** Raises if the captured count does not equal [width * height]. *)

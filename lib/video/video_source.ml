@@ -1,51 +1,61 @@
 open Hwpat_rtl
 
+(* Ports are bound once, in [create].  Pixels are read from the frame
+   in stream order; the head pixel is converted to a [Bits.t] once,
+   when it reaches the head, not on every cycle it is presented. *)
 type t = {
-  sim : Cyclesim.t;
-  valid_port : string;
-  data_port : string;
-  ready_port : string;
-  depth : int;
-  mutable remaining : int list;
-  mutable sent : int;
+  valid : Bits.t ref;
+  data : Bits.t ref;
+  ready : Bits.t ref;
+  mutable frame : Frame.t;
+  mutable pos : int; (* pixels consumed so far *)
+  mutable head : Bits.t; (* pixel [pos], converted *)
 }
+
+(* Shared valid values: refs only ever hold immutable values. *)
+let high = Bits.one 1
+let low = Bits.zero 1
+
+let head_of frame pos =
+  if pos >= Frame.pixels frame then low
+  else
+    let w = Frame.width frame in
+    Bits.of_int ~width:(Frame.depth frame)
+      (Frame.get frame ~x:(pos mod w) ~y:(pos / w))
 
 let create ?(valid_port = "px_valid") ?(data_port = "px_data")
     ?(ready_port = "px_ready") sim frame =
   {
-    sim;
-    valid_port;
-    data_port;
-    ready_port;
-    depth = Frame.depth frame;
-    remaining = Frame.to_row_major frame;
-    sent = 0;
+    valid = Cyclesim.bind_input sim valid_port ~width:1;
+    data = Cyclesim.bind_input sim data_port ~width:(Frame.depth frame);
+    ready = Cyclesim.out_port sim ready_port;
+    frame;
+    pos = 0;
+    head = head_of frame 0;
   }
 
+let exhausted t = t.pos >= Frame.pixels t.frame
+let sent t = t.pos
+
 let drive t =
-  match t.remaining with
-  | [] -> Cyclesim.drive t.sim t.valid_port (Bits.zero 1)
-  | px :: _ ->
-    Cyclesim.drive t.sim t.valid_port (Bits.one 1);
-    Cyclesim.drive t.sim t.data_port (Bits.of_int ~width:t.depth px)
+  if exhausted t then t.valid := low
+  else begin
+    t.valid := high;
+    t.data := t.head
+  end
 
 let observe t =
-  match t.remaining with
-  | [] -> ()
-  | _ :: rest ->
-    if Bits.to_bool !(Cyclesim.out_port t.sim t.ready_port) then begin
-      t.remaining <- rest;
-      t.sent <- t.sent + 1
-    end
-
-let exhausted t = t.remaining = []
-let sent t = t.sent
+  if (not (exhausted t)) && Bits.to_bool !(t.ready) then begin
+    t.pos <- t.pos + 1;
+    t.head <- head_of t.frame t.pos
+  end
 
 let restart t frame =
-  if Frame.depth frame <> t.depth then
+  if Frame.depth frame <> Frame.depth t.frame then
     invalid_arg "Video_source.restart: depth mismatch";
-  t.remaining <- Frame.to_row_major frame;
-  t.sent <- 0
+  t.frame <- frame;
+  t.pos <- 0;
+  t.head <- head_of frame 0
 
 (* Plane-level variant over a whole batch: one [drive]/[observe] pair
    feeds every lane at once through {!Simbatch.write_input_plane} and
@@ -64,8 +74,13 @@ module Batch = struct
     pixels : int array;
     pos : int array; (* per lane *)
     sent : int array;
-    data_planes : int64 array; (* scratch *)
+    planes : Bytes.t; (* scratch: data plane [b] at byte offset [8 * b] *)
   }
+
+  (* Plane scratch access through the compiler's primitives, so that no
+     plane value is boxed on the per-cycle path. *)
+  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+  external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
   let create ?(valid_port = "px_valid") ?(data_port = "px_data")
       ?(ready_port = "px_ready") sb frame =
@@ -81,35 +96,36 @@ module Batch = struct
       pixels = Array.of_list (Frame.to_row_major frame);
       pos = Array.make lanes 0;
       sent = Array.make lanes 0;
-      data_planes = Array.make (Frame.depth frame) 0L;
+      planes = Bytes.make (8 * Frame.depth frame) '\000';
     }
 
   let drive t ~mask =
     let n = Array.length t.pixels in
     let lanes = Simbatch.lanes t.sb in
-    Array.fill t.data_planes 0 t.depth 0L;
+    Bytes.fill t.planes 0 (Bytes.length t.planes) '\000';
     let streaming = ref 0L in
     for l = 0 to lanes - 1 do
       if
         Int64.logand (Int64.shift_right_logical mask l) 1L = 1L
         && t.pos.(l) < n
       then begin
-        streaming := Int64.logor !streaming (Int64.shift_left 1L l);
+        let m = Int64.shift_left 1L l in
+        streaming := Int64.logor !streaming m;
         let px = t.pixels.(t.pos.(l)) in
         for b = 0 to t.depth - 1 do
           if (px lsr b) land 1 = 1 then
-            t.data_planes.(b) <-
-              Int64.logor t.data_planes.(b) (Int64.shift_left 1L l)
+            set64 t.planes (8 * b) (Int64.logor (get64 t.planes (8 * b)) m)
         done
       end
     done;
     (* Every masked lane drives valid (0 once exhausted); data is only
        driven by still-streaming lanes, like the scalar source. *)
     Simbatch.write_input_plane t.sb t.valid_in ~plane:0 ~mask ~bits:!streaming;
-    for b = 0 to t.depth - 1 do
-      Simbatch.write_input_plane t.sb t.data_in ~plane:b ~mask:!streaming
-        ~bits:t.data_planes.(b)
-    done
+    if !streaming <> 0L then
+      for b = 0 to t.depth - 1 do
+        Simbatch.write_input_plane t.sb t.data_in ~plane:b ~mask:!streaming
+          ~bits:(get64 t.planes (8 * b))
+      done
 
   let observe t ~mask =
     let n = Array.length t.pixels in

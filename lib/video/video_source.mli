@@ -24,7 +24,11 @@ val create :
   Cyclesim.t ->
   Frame.t ->
   t
-(** Port-name defaults: ["px_valid"], ["px_data"], ["px_ready"]. *)
+(** Port-name defaults: ["px_valid"], ["px_data"], ["px_ready"].
+    The ports are bound here, once: a missing port, or an input port
+    whose width is not 1 (valid) or the frame depth (data), raises the
+    [Invalid_argument] {!Cyclesim.drive} would. Pixels are read from
+    [frame] as they stream, so it must not be changed meanwhile. *)
 
 val drive : t -> unit
 val observe : t -> unit

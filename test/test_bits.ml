@@ -313,6 +313,222 @@ let props =
         Bits.equal (Bits.mul a b) !acc);
   ]
 
+(* --- Differential: in-place kernels against the allocating operations
+   and an independent bit-serial model --------------------------------------
+
+   Values are seeded; the widths straddle every limb boundary the
+   kernels special-case (one limb, exactly one limb, one bit over, two
+   limbs, a partial third). *)
+
+let diff_widths = [ 1; 2; 7; 8; 63; 64; 65; 127; 128; 130 ]
+
+(* The model: a value is its bits, LSB first, moved in and out of
+   [Bits] only through [bit] and [of_string]. *)
+let model b = Array.init (Bits.width b) (Bits.bit b)
+
+let of_model m =
+  let n = Array.length m in
+  Bits.of_string (String.init n (fun i -> if m.(n - 1 - i) then '1' else '0'))
+
+let model_add ?(carry = false) a b =
+  let c = ref carry in
+  Array.mapi
+    (fun i x ->
+      let y = b.(i) in
+      let s = x <> y <> !c in
+      c := (x && y) || (!c && x <> y);
+      s)
+    a
+
+let model_sub a b = model_add ~carry:true a (Array.map not b)
+
+let model_mul a b =
+  let w = Array.length a in
+  let acc = ref (Array.make w false) in
+  for i = 0 to w - 1 do
+    if b.(i) then
+      acc := model_add !acc (Array.init w (fun k -> k >= i && a.(k - i)))
+  done;
+  !acc
+
+(* Unsigned comparison, MSB first. *)
+let model_compare a b =
+  let rec go i =
+    if i < 0 then 0
+    else if a.(i) = b.(i) then go (i - 1)
+    else if b.(i) then -1
+    else 1
+  in
+  go (Array.length a - 1)
+
+(* Edge values plus seeded random ones. *)
+let diff_values w =
+  Random.init (7919 * w);
+  [ Bits.zero w; Bits.one w; Bits.ones w; Bits.sll (Bits.one w) (w - 1) ]
+  @ List.init 6 (fun _ -> Bits.random ~width:w)
+
+let check_bits what expect got =
+  Alcotest.(check string) what (Bits.to_string expect) (Bits.to_string got)
+
+let op2s =
+  [
+    ("add", Bits.add, Bits.add_into, model_add ?carry:None);
+    ("sub", Bits.sub, Bits.sub_into, model_sub);
+    ("mul", Bits.mul, Bits.mul_into, model_mul);
+    ("logand", Bits.logand, Bits.logand_into, Array.map2 ( && ));
+    ("logor", Bits.logor, Bits.logor_into, Array.map2 ( || ));
+    ("logxor", Bits.logxor, Bits.logxor_into, Array.map2 ( <> ));
+  ]
+
+(* Every element-wise [*_into] equals its allocating counterpart, into a
+   fresh [dst] and into [dst] aliasing either operand or both; the
+   allocating form equals the model. *)
+let test_diff_op2 w () =
+  let vs = diff_values w in
+  List.iter
+    (fun (name, op, op_into, m) ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              let what = Printf.sprintf "%s w=%d" name w in
+              let expect = op a b in
+              check_bits (what ^ " model") (of_model (m (model a) (model b))) expect;
+              let dst = Bits.zero w in
+              op_into ~dst a b;
+              check_bits (what ^ " into") expect dst;
+              let a' = Bits.copy a in
+              op_into ~dst:a' a' b;
+              check_bits (what ^ " dst == a") expect a';
+              let b' = Bits.copy b in
+              op_into ~dst:b' a b';
+              check_bits (what ^ " dst == b") expect b';
+              let x = Bits.copy a in
+              op_into ~dst:x x x;
+              check_bits (what ^ " dst == a == b") (op a a) x)
+            vs)
+        vs)
+    op2s;
+  List.iter
+    (fun a ->
+      let expect = Bits.lognot a in
+      check_bits "lognot model" (of_model (Array.map not (model a))) expect;
+      let dst = Bits.zero w in
+      Bits.lognot_into ~dst a;
+      check_bits "lognot_into" expect dst;
+      let a' = Bits.copy a in
+      Bits.lognot_into ~dst:a' a';
+      check_bits "lognot_into dst == a" expect a')
+    vs
+
+(* Comparisons and conversions: [eq_into]/[lt_into] against [eq]/[lt],
+   [equal]/[compare]/[to_bool] against the model, [to_index] against
+   [to_int_opt] plus the bound. *)
+let test_diff_compare w () =
+  let vs = diff_values w in
+  let bounds = [ 0; 1; 2; 3; 7; 8; 255; 256; 1 lsl 40; max_int ] in
+  List.iter
+    (fun a ->
+      let ma = model a in
+      check_bool "to_bool" (Array.exists Fun.id ma) (Bits.to_bool a);
+      List.iter
+        (fun bound ->
+          let expect =
+            match Bits.to_int_opt a with Some v when v < bound -> v | _ -> -1
+          in
+          check_int
+            (Printf.sprintf "to_index w=%d bound=%d" w bound)
+            expect (Bits.to_index a ~bound))
+        bounds;
+      List.iter
+        (fun b ->
+          let c = model_compare ma (model b) in
+          check_int "compare" c (Bits.compare a b);
+          check_bool "equal" (c = 0) (Bits.equal a b);
+          let dst = Bits.zero 1 in
+          Bits.eq_into ~dst a b;
+          check_bits "eq_into" (Bits.eq a b) dst;
+          Bits.lt_into ~dst a b;
+          check_bits "lt_into" (Bits.lt a b) dst;
+          check_bool "lt" (c < 0) (Bits.to_bool (Bits.lt a b)))
+        vs)
+    vs
+
+(* Structure and copies: [select_into] and [concat_msb_into] against
+   [select] and [concat_msb] and the model; [blit_changed] reports
+   exactly a change and leaves [dst] equal to [src]. *)
+let test_diff_structure w () =
+  let vs = diff_values w in
+  Random.init (104729 * w);
+  List.iter
+    (fun a ->
+      let ma = model a in
+      for _ = 1 to 8 do
+        let low = Random.int w in
+        let high = low + Random.int (w - low) in
+        let expect = Bits.select a ~high ~low in
+        check_bits "select model" (of_model (Array.sub ma low (high - low + 1))) expect;
+        let dst = Bits.zero (high - low + 1) in
+        Bits.select_into ~dst a ~high ~low;
+        check_bits (Printf.sprintf "select_into [%d:%d] w=%d" high low w) expect dst
+      done;
+      List.iter
+        (fun b ->
+          let parts = [ a; Bits.of_int ~width:3 5; b ] in
+          let expect = Bits.concat_msb parts in
+          check_bits "concat model"
+            (of_model (Array.concat (List.rev_map model parts)))
+            expect;
+          let dst = Bits.zero (Bits.width expect) in
+          Bits.concat_msb_into ~dst (Array.of_list parts);
+          check_bits "concat_msb_into" expect dst;
+          let dst = Bits.copy b in
+          check_bool "blit_changed reports a change" (not (Bits.equal a b))
+            (Bits.blit_changed ~src:a ~dst);
+          check_bits "blit_changed copies" a dst;
+          check_bool "blit_changed again is no change" false
+            (Bits.blit_changed ~src:a ~dst))
+        vs)
+    vs
+
+(* Raw limb writes keep the top limb normalized, so [equal], [compare]
+   and [to_bool] see only the [width] valid bits. *)
+let test_diff_limbs w () =
+  let t = Bits.zero w in
+  let top = Bits.limb_count t - 1 in
+  for i = 0 to top do
+    Bits.set_limb t i (-1L)
+  done;
+  check_bits "all limbs set = ones" (Bits.ones w) t;
+  check_bool "equal ones" true (Bits.equal t (Bits.ones w));
+  check_int "compare ones" 0 (Bits.compare t (Bits.ones w));
+  let expect_top =
+    if w mod 64 = 0 then -1L else Int64.pred (Int64.shift_left 1L (w mod 64))
+  in
+  Alcotest.(check int64) "top limb masked" expect_top (Bits.get_limb t top);
+  for i = 0 to top do
+    Bits.set_limb t i (if i = top then Int64.lognot expect_top else 0L)
+  done;
+  check_bool "bits above width alone are zero" false (Bits.to_bool t);
+  check_bool "equal zero" true (Bits.equal t (Bits.zero w));
+  Alcotest.check_raises "get_limb past the top"
+    (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Bits.get_limb t (top + 1)))
+
+let differential =
+  List.concat_map
+    (fun w ->
+      let case name f =
+        Alcotest.test_case (Printf.sprintf "%s w=%d" name w) `Quick (f w)
+      in
+      [
+        case "element-wise into" test_diff_op2;
+        case "compare and to_index" test_diff_compare;
+        case "select/concat/blit_changed" test_diff_structure;
+        case "limbs stay normalized" test_diff_limbs;
+      ])
+    diff_widths
+
 let () =
   Alcotest.run "bits"
     [
@@ -331,4 +547,5 @@ let () =
           Alcotest.test_case "reductions" `Quick test_reduce;
         ] );
       ("properties", props);
+      ("differential", differential);
     ]

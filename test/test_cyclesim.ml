@@ -337,19 +337,62 @@ let test_out_port_initial_width () =
         (Bits.equal v (Bits.zero 12)))
     [ Cyclesim.Reference; Cyclesim.Compiled ]
 
+(* The width comes from the instance's own input table, on every
+   engine and on a lane of a batch, with one error text. *)
 let test_drive_width_check () =
   let a = input "a" 8 in
   let c = Circuit.create_exn ~name:"d" [ ("y", ~:a) ] in
+  List.iter
+    (fun (engine, sim) ->
+      Alcotest.check_raises (engine ^ ": wrong width rejected at the call site")
+        (Invalid_argument "Cyclesim.drive: port a expects width 8, got 4")
+        (fun () -> Cyclesim.drive sim "a" (Bits.zero 4));
+      Alcotest.check_raises (engine ^ ": unknown port")
+        (Invalid_argument "Cyclesim: no input port named ghost") (fun () ->
+          Cyclesim.drive sim "ghost" (Bits.zero 1));
+      Alcotest.check_raises (engine ^ ": bind checks like drive")
+        (Invalid_argument "Cyclesim.drive: port a expects width 8, got 1")
+        (fun () -> ignore (Cyclesim.bind_input sim "a" ~width:1));
+      Cyclesim.drive sim "a" (Bits.of_int ~width:8 0xF0);
+      Cyclesim.cycle sim;
+      check_int (engine ^ ": driven value simulates") 0x0F (out_int sim "y");
+      Cyclesim.bind_input sim "a" ~width:8 := Bits.of_int ~width:8 0x0F;
+      Cyclesim.cycle sim;
+      check_int (engine ^ ": bound ref drives") 0xF0 (out_int sim "y"))
+    [
+      ("reference", Cyclesim.create ~engine:Cyclesim.Reference c);
+      ("compiled", Cyclesim.create ~engine:Cyclesim.Compiled c);
+      ( "lane 2 of 3",
+        Cyclesim.lane_view
+          (Cyclesim.instantiate_batched ~lanes:3 (Cyclesim.plan c))
+          2 );
+    ]
+
+(* The video harness binds its ports once, at [create], and rejects a
+   port of the wrong width there with [Cyclesim.drive]'s error. *)
+let test_harness_binds_ports () =
+  let px_valid = input "px_valid" 1 and px_data = input "px_data" 4 in
+  let out_ready = input "out_ready" 2 in
+  let c =
+    Circuit.create_exn ~name:"pass"
+      [
+        ("px_ready", select out_ready ~high:0 ~low:0);
+        ("out_valid", px_valid);
+        ("out_data", px_data);
+      ]
+  in
   let sim = Cyclesim.create c in
-  Alcotest.check_raises "wrong width rejected at the call site"
-    (Invalid_argument "Cyclesim.drive: port a expects width 8, got 4")
-    (fun () -> Cyclesim.drive sim "a" (Bits.zero 4));
-  Alcotest.check_raises "unknown port"
-    (Invalid_argument "Cyclesim: no input port named ghost") (fun () ->
-      Cyclesim.drive sim "ghost" (Bits.zero 1));
-  Cyclesim.drive sim "a" (Bits.of_int ~width:8 0xF0);
-  Cyclesim.cycle sim;
-  check_int "driven value simulates" 0x0F (out_int sim "y")
+  let frame depth = Hwpat_video.Frame.create ~width:2 ~height:2 ~depth in
+  Alcotest.check_raises "source data port"
+    (Invalid_argument "Cyclesim.drive: port px_data expects width 4, got 8")
+    (fun () -> ignore (Hwpat_video.Video_source.create sim (frame 8)));
+  Alcotest.check_raises "sink ready port"
+    (Invalid_argument "Cyclesim.drive: port out_ready expects width 2, got 1")
+    (fun () -> ignore (Hwpat_video.Vga_sink.create sim ()));
+  Alcotest.check_raises "missing port"
+    (Invalid_argument "Cyclesim: no output port named ghost") (fun () ->
+      ignore (Hwpat_video.Vga_sink.create ~valid_port:"ghost" ~ready_port:"" sim ()));
+  ignore (Hwpat_video.Video_source.create sim (frame 4))
 
 let test_activity_skipping () =
   let counter =
@@ -421,6 +464,8 @@ let () =
           Alcotest.test_case "out_port initial width" `Quick
             test_out_port_initial_width;
           Alcotest.test_case "drive width check" `Quick test_drive_width_check;
+          Alcotest.test_case "video harness binds ports at create" `Quick
+            test_harness_binds_ports;
           Alcotest.test_case "activity skipping" `Quick test_activity_skipping;
           Alcotest.test_case "force fans out (compiled)" `Quick
             test_force_fans_out_compiled;
