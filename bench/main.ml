@@ -7,9 +7,54 @@
 open Hwpat_core
 open Hwpat_video
 
-let banner title =
+module Json = Hwpat_base.Json
+
+let banner ?(smoke = false) title =
   let bar = String.make 72 '=' in
-  Printf.printf "\n%s\n== %s\n%s\n" bar title bar
+  Printf.printf "\n%s\n== %s%s\n%s\n" bar title
+    (if smoke then " (smoke)" else "")
+    bar
+
+(* Wall-clock seconds of [f ()], floored at 1 ns so ratios never divide
+   by zero, paired with [f]'s result.  [best_of] runs [f] that many
+   times and keeps the first result and the fastest time: a single
+   run's ratio jitters across a gate threshold on a loaded machine,
+   and the minimum is the least-noise estimate of the true cost. *)
+let time ?(best_of = 1) f =
+  let once () =
+    let t0 = Unix.gettimeofday () in
+    let v = f () in
+    (v, max 1e-9 (Unix.gettimeofday () -. t0))
+  in
+  let v, s = once () in
+  let best = ref s in
+  for _ = 2 to best_of do
+    best := min !best (snd (once ()))
+  done;
+  (v, !best)
+
+(* Every check a section makes ends here.  A passed or skipped gate
+   prints its line on stdout; a failed one prints on stderr and ends
+   the bench with exit 1, the code CI keys on. *)
+type verdict = Pass | Skip | Fail
+
+let report name verdict fmt =
+  Printf.ksprintf
+    (fun msg ->
+      match verdict with
+      | Pass -> Printf.printf "\n  %s gate passed: %s\n%!" name msg
+      | Skip -> Printf.printf "\n  %s gate skipped: %s\n%!" name msg
+      | Fail ->
+        Printf.eprintf "%s gate failed: %s\n%!" name msg;
+        exit 1)
+    fmt
+
+(* A BENCH table: one JSON object per row. *)
+let table f xs = Json.List (List.map (fun x -> Json.Obj (f x)) xs)
+
+let write_bench path json =
+  Hwpat_base.Atomic_file.write path (Json.pretty json);
+  Printf.printf "\n  wrote %s\n" path
 
 (* ---------------------------------------------------------------- *)
 (* Table 1 and Table 2: the component library's capability matrices,
@@ -344,14 +389,7 @@ let engine_name = function
   | Hwpat_rtl.Cyclesim.Compiled -> "compiled"
 
 let sim_throughput ?(smoke = false) () =
-  banner
-    (Printf.sprintf "§simthroughput — cycles/sec, reference vs compiled%s"
-       (if smoke then " (smoke)" else ""));
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    max 1e-9 (Unix.gettimeofday () -. t0)
-  in
+  banner ~smoke "§simthroughput — cycles/sec, reference vs compiled";
   let side = if smoke then 8 else 16 in
   let cycles_per_design = if smoke then 2_000 else 50_000 in
   (* Raw engine throughput: one sim per (design, engine), input port
@@ -377,7 +415,7 @@ let sim_throughput ?(smoke = false) () =
                Array.init pool_size (fun _ -> Bits.of_int ~width:w (next ())) ))
       |> Array.of_list
     in
-    let seconds =
+    let (), seconds =
       time (fun () ->
           for c = 1 to cycles_per_design do
             for k = 0 to Array.length drivers - 1 do
@@ -428,17 +466,13 @@ let sim_throughput ?(smoke = false) () =
   let bench_faultsim ~engine =
     let faults = if smoke then 4 else 12 in
     let fw = if smoke then 4 else 8 in
-    let summary = ref None in
-    let seconds =
+    let summary, seconds =
       time (fun () ->
-          summary :=
-            Some
-              (Faultsim.run_campaign ~engine ~seed:7 ~faults ~frame_width:fw
-                 ~frame_height:fw
-                 ~build:(Faultsim.find_design "saa2vga_sram_pattern")
-                 ~design:"saa2vga_sram_pattern" ()))
+          Faultsim.run_campaign ~engine ~seed:7 ~faults ~frame_width:fw
+            ~frame_height:fw
+            ~build:(Faultsim.find_design "saa2vga_sram_pattern")
+            ~design:"saa2vga_sram_pattern" ())
     in
-    let summary = Option.get !summary in
     let cycles =
       List.fold_left
         (fun acc r -> acc + r.Faultsim.cycles)
@@ -482,33 +516,25 @@ let sim_throughput ?(smoke = false) () =
         "  %-18s reference %10.0f cyc/s   compiled %10.0f cyc/s   (%.1fx)%s\n"
         d (sb_rate r) (sb_rate c) (List.assoc d speedups) batched)
     design_names;
-  (* Machine-readable record. *)
-  let json =
-    let buf = Buffer.create 1024 in
-    let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    emit "{\n  \"bench\": \"simthroughput\",\n  \"smoke\": %b,\n"
-      smoke;
-    emit "  \"entries\": [\n";
-    List.iteri
-      (fun i b ->
-        emit
-          "    {\"design\": %S, \"engine\": %S, \"cycles\": %d, \"seconds\": \
-           %.6f, \"cycles_per_sec\": %.1f}%s\n"
-          b.sb_design b.sb_engine b.sb_cycles b.sb_seconds (sb_rate b)
-          (if i = List.length entries - 1 then "" else ","))
-      entries;
-    emit "  ],\n  \"speedup_compiled_over_reference\": {\n";
-    List.iteri
-      (fun i (d, s) ->
-        emit "    %S: %.2f%s\n" d s
-          (if i = List.length speedups - 1 then "" else ","))
-      speedups;
-    emit "  }\n}\n";
-    Buffer.contents buf
-  in
-  let path = "BENCH_sim.json" in
-  Hwpat_rtl.Util.write_file path json;
-  Printf.printf "\n  wrote %s\n" path
+  write_bench "BENCH_sim.json"
+    (Json.Obj
+       [
+         ("bench", Json.String "simthroughput");
+         ("smoke", Json.Bool smoke);
+         ( "entries",
+           table
+             (fun b ->
+               [
+                 ("design", Json.String b.sb_design);
+                 ("engine", Json.String b.sb_engine);
+                 ("cycles", Json.Int b.sb_cycles);
+                 ("seconds", Json.rounded 6 b.sb_seconds);
+                 ("cycles_per_sec", Json.rounded 1 (sb_rate b));
+               ])
+             entries );
+         ( "speedup_compiled_over_reference",
+           Json.Obj (List.map (fun (d, s) -> (d, Json.rounded 2 s)) speedups) );
+       ])
 
 (* ---------------------------------------------------------------- *)
 (* §parscaling: domain-sharded campaigns and sweeps, jobs vs          *)
@@ -534,16 +560,10 @@ type par_bench = {
    reports itself skipped — an oversubscribed timing proves nothing
    about scaling either way. *)
 let parscaling ?(smoke = false) ?(max_jobs = 4) ?(gate = false) () =
-  banner
+  banner ~smoke
     (Printf.sprintf
-       "§parscaling — sharded campaigns and sweeps (recommended domains: %d)%s"
-       (Domain.recommended_domain_count ())
-       (if smoke then " (smoke)" else ""));
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, max 1e-9 (Unix.gettimeofday () -. t0))
-  in
+       "§parscaling — sharded campaigns and sweeps (recommended domains: %d)"
+       (Domain.recommended_domain_count ()));
   let jobs_list =
     List.sort_uniq compare
       (1 :: List.filter (fun j -> j <= max_jobs) [ 2; 4 ]
@@ -575,10 +595,12 @@ let parscaling ?(smoke = false) ?(max_jobs = 4) ?(gate = false) () =
     Hwpat_synthesis.Design_space.to_json
       (Characterize.sweep ~jobs ~points:sweep_points ())
   in
+  (* Rows compare the bytes the daemon would send for each result. *)
   let workloads =
     [
-      ("faultsim campaign", fun jobs -> Faultsim.summary_to_json (campaign jobs));
-      ("characterisation sweep", sweep);
+      ( "faultsim campaign",
+        fun jobs -> Json.to_string (Faultsim.summary_to_json (campaign jobs)) );
+      ("characterisation sweep", fun jobs -> Json.to_string (sweep jobs));
     ]
   in
   let recommended = Domain.recommended_domain_count () in
@@ -615,56 +637,48 @@ let parscaling ?(smoke = false) ?(max_jobs = 4) ?(gate = false) () =
         (if e.pb_identical then "bit-identical to serial"
          else "OUTPUT DIVERGED")
         (if e.pb_oversubscribed then "  [oversubscribed]" else "");
-      if not e.pb_identical then begin
-        Printf.eprintf
-          "parscaling: %s at jobs:%d is not bit-identical to the serial run\n"
-          e.pb_workload e.pb_jobs;
-        exit 1
-      end)
+      if not e.pb_identical then
+        report "identity" Fail
+          "%s at jobs:%d is not bit-identical to the serial run" e.pb_workload
+          e.pb_jobs)
     entries;
   if gate then begin
     if recommended < 4 || max_jobs < 4 then
-      Printf.printf
-        "\n  speedup gate skipped: %d recommended domain(s), max jobs %d — \
-         jobs:4 rows would be oversubscribed\n"
+      report "speedup" Skip
+        "%d recommended domain(s), max jobs %d — jobs:4 rows would be \
+         oversubscribed"
         recommended max_jobs
     else begin
-      let failures =
-        List.filter (fun e -> e.pb_jobs = 4 && speedup e <= 1.0) entries
-      in
-      List.iter
-        (fun e ->
-          Printf.eprintf
-            "parscaling gate: %s at jobs:4 is %.2fx vs serial (need > 1.0)\n"
-            e.pb_workload (speedup e))
-        failures;
-      if failures <> [] then exit 1;
-      Printf.printf "\n  speedup gate passed: all jobs:4 rows beat serial\n"
+      let rows4 = List.filter (fun e -> e.pb_jobs = 4) entries in
+      report "speedup"
+        (if List.exists (fun e -> speedup e <= 1.0) rows4 then Fail else Pass)
+        "jobs:4 vs serial: %s (need > 1.0 each)"
+        (String.concat ", "
+           (List.map
+              (fun e -> Printf.sprintf "%s %.2fx" e.pb_workload (speedup e))
+              rows4))
     end
   end;
-  let json =
-    let buf = Buffer.create 1024 in
-    let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    emit "{\n  \"bench\": \"parscaling\",\n  \"smoke\": %b,\n" smoke;
-    emit "  \"recommended_domains\": %d,\n"
-      (Domain.recommended_domain_count ());
-    emit "  \"entries\": [\n";
-    List.iteri
-      (fun i e ->
-        emit
-          "    {\"workload\": %S, \"jobs\": %d, \"effective_jobs\": %d, \
-           \"oversubscribed\": %b, \"seconds\": %.6f, \
-           \"speedup_vs_jobs1\": %.2f, \"identical_to_serial\": %b}%s\n"
-          e.pb_workload e.pb_jobs e.pb_effective e.pb_oversubscribed
-          e.pb_seconds (speedup e) e.pb_identical
-          (if i = List.length entries - 1 then "" else ","))
-      entries;
-    emit "  ]\n}\n";
-    Buffer.contents buf
-  in
-  let path = "BENCH_par.json" in
-  Hwpat_rtl.Util.write_file path json;
-  Printf.printf "\n  wrote %s\n" path
+  write_bench "BENCH_par.json"
+    (Json.Obj
+       [
+         ("bench", Json.String "parscaling");
+         ("smoke", Json.Bool smoke);
+         ("recommended_domains", Json.Int recommended);
+         ( "entries",
+           table
+             (fun e ->
+               [
+                 ("workload", Json.String e.pb_workload);
+                 ("jobs", Json.Int e.pb_jobs);
+                 ("effective_jobs", Json.Int e.pb_effective);
+                 ("oversubscribed", Json.Bool e.pb_oversubscribed);
+                 ("seconds", Json.rounded 6 e.pb_seconds);
+                 ("speedup_vs_jobs1", Json.rounded 2 (speedup e));
+                 ("identical_to_serial", Json.Bool e.pb_identical);
+               ])
+             entries );
+       ])
 
 (* ---------------------------------------------------------------- *)
 (* §batchsim: the bit-parallel batched engine — fault-campaign        *)
@@ -686,23 +700,7 @@ type batch_bench = {
    When the scalar run is too fast to time against noise the gate
    reports itself skipped rather than passing or failing on jitter. *)
 let batchsim ?(smoke = false) ?(gate = false) () =
-  banner
-    (Printf.sprintf "§batchsim — bit-parallel batched fault campaigns%s"
-       (if smoke then " (smoke)" else ""));
-  (* Best-of-3 wall time: a single run's ratio jitters across the
-     gate threshold on a loaded machine; the per-row minimum is the
-     least-noise estimate of the true cost. *)
-  let time f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      let v = f () in
-      (v, max 1e-9 (Unix.gettimeofday () -. t0))
-    in
-    let v, s0 = once () in
-    let _, s1 = once () in
-    let _, s2 = once () in
-    (v, min s0 (min s1 s2))
-  in
+  banner ~smoke "§batchsim — bit-parallel batched fault campaigns";
   (* 64 faults = one full batch at 64 lanes — the gate's own shape —
      even in smoke; only the frame shrinks there. Frames are sized so
      per-campaign setup (circuit build, plan compile, golden frame) is
@@ -711,19 +709,20 @@ let batchsim ?(smoke = false) ?(gate = false) () =
   let faults = 64 in
   let fw = if smoke then 12 else 16 in
   let campaign ?lanes () =
-    Faultsim.summary_to_json
-      (Faultsim.run_campaign ?lanes ~jobs:1 ~seed:7 ~faults ~frame_width:fw
-         ~frame_height:fw
-         ~build:(Faultsim.find_design "saa2vga_sram_pattern")
-         ~design:"saa2vga_sram_pattern" ())
+    Json.to_string
+      (Faultsim.summary_to_json
+         (Faultsim.run_campaign ?lanes ~jobs:1 ~seed:7 ~faults ~frame_width:fw
+            ~frame_height:fw
+            ~build:(Faultsim.find_design "saa2vga_sram_pattern")
+            ~design:"saa2vga_sram_pattern" ()))
   in
-  let scalar_out, scalar_seconds = time (fun () -> campaign ()) in
+  let scalar_out, scalar_seconds = time ~best_of:3 (fun () -> campaign ()) in
   let rows =
     { bb_label = "scalar"; bb_lanes = None; bb_seconds = scalar_seconds;
       bb_identical = true }
     :: List.map
          (fun lanes ->
-           let out, seconds = time (fun () -> campaign ~lanes ()) in
+           let out, seconds = time ~best_of:3 (fun () -> campaign ~lanes ()) in
            { bb_label = Printf.sprintf "lanes:%d" lanes;
              bb_lanes = Some lanes; bb_seconds = seconds;
              bb_identical = String.equal scalar_out out })
@@ -736,54 +735,44 @@ let batchsim ?(smoke = false) ?(gate = false) () =
         r.bb_seconds (speedup r)
         (if r.bb_identical then "byte-identical to scalar"
          else "OUTPUT DIVERGED");
-      if not r.bb_identical then begin
-        Printf.eprintf
-          "batchsim: %s summary is not byte-identical to the scalar run\n"
-          r.bb_label;
-        exit 1
-      end)
+      if not r.bb_identical then
+        report "identity" Fail
+          "%s summary is not byte-identical to the scalar run" r.bb_label)
     rows;
-  let gate_skipped_noise = scalar_seconds < 0.05 in
   if gate then
-    if gate_skipped_noise then
-      Printf.printf
-        "\n  speedup gate skipped: scalar run finished in %.3f s — too fast \
-         to time against noise\n"
+    if scalar_seconds < 0.05 then
+      report "speedup" Skip
+        "scalar run finished in %.3f s — too fast to time against noise"
         scalar_seconds
     else begin
       let r64 = List.find (fun r -> r.bb_lanes = Some 64) rows in
-      if speedup r64 < 8.0 then begin
-        Printf.eprintf
-          "batchsim gate: 64 lanes is %.2fx vs scalar (need >= 8.0)\n"
-          (speedup r64);
-        exit 1
-      end;
-      Printf.printf "\n  speedup gate passed: 64 lanes is %.2fx vs scalar\n"
-        (speedup r64)
+      report "speedup"
+        (if speedup r64 < 8.0 then Fail else Pass)
+        "64 lanes is %.2fx vs scalar (need >= 8.0)" (speedup r64)
     end;
-  let json =
-    let buf = Buffer.create 1024 in
-    let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    emit "{\n  \"bench\": \"batchsim\",\n  \"smoke\": %b,\n" smoke;
-    emit "  \"design\": \"saa2vga_sram_pattern\",\n";
-    emit "  \"faults\": %d,\n  \"frame\": \"%dx%d\",\n" faults fw fw;
-    emit "  \"entries\": [\n";
-    List.iteri
-      (fun i r ->
-        emit
-          "    {\"label\": %S, \"lanes\": %s, \"seconds\": %.6f, \
-           \"speedup_vs_scalar\": %.2f, \"identical_to_scalar\": %b}%s\n"
-          r.bb_label
-          (match r.bb_lanes with None -> "null" | Some l -> string_of_int l)
-          r.bb_seconds (speedup r) r.bb_identical
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    emit "  ]\n}\n";
-    Buffer.contents buf
-  in
-  let path = "BENCH_batch.json" in
-  Hwpat_rtl.Util.write_file path json;
-  Printf.printf "\n  wrote %s\n" path
+  write_bench "BENCH_batch.json"
+    (Json.Obj
+       [
+         ("bench", Json.String "batchsim");
+         ("smoke", Json.Bool smoke);
+         ("design", Json.String "saa2vga_sram_pattern");
+         ("faults", Json.Int faults);
+         ("frame", Json.String (Printf.sprintf "%dx%d" fw fw));
+         ( "entries",
+           table
+             (fun r ->
+               [
+                 ("label", Json.String r.bb_label);
+                 ( "lanes",
+                   match r.bb_lanes with
+                   | None -> Json.Null
+                   | Some l -> Json.Int l );
+                 ("seconds", Json.rounded 6 r.bb_seconds);
+                 ("speedup_vs_scalar", Json.rounded 2 (speedup r));
+                 ("identical_to_scalar", Json.Bool r.bb_identical);
+               ])
+             rows );
+       ])
 
 (* ---------------------------------------------------------------- *)
 (* §prove: the formal proof battery — monitor BMC on the paper        *)
@@ -791,16 +780,13 @@ let batchsim ?(smoke = false) ?(gate = false) () =
 (* ---------------------------------------------------------------- *)
 
 let prove_section ?(smoke = false) ?(max_jobs = 4) ?(gate = false) () =
-  banner
-    (Printf.sprintf "§prove — formal proof battery%s"
-       (if smoke then " (smoke)" else ""));
+  banner ~smoke "§prove — formal proof battery";
   let jobs = Parallel.clamp_jobs max_jobs in
   let results = Prove.run ~jobs ~smoke () in
   print_string (Prove.summary results);
-  let path = "BENCH_prove.json" in
-  Hwpat_rtl.Util.write_file path (Prove.to_json ~jobs ~smoke results);
-  Printf.printf "\n  wrote %s\n" path;
-  if not (Prove.all_ok results) then exit 1;
+  write_bench "BENCH_prove.json" (Prove.to_json ~jobs ~smoke results);
+  if not (Prove.all_ok results) then
+    report "battery" Fail "not every obligation was proved";
   if gate then begin
     (* Two checks on the battery's historically worst obligation — the
        blur equivalence, 37.7 s of the 76.2 s committed full-battery
@@ -831,42 +817,28 @@ let prove_section ?(smoke = false) ?(max_jobs = 4) ?(gate = false) () =
       (match Hwpat_formal.Equiv.check ~metrics:m ~strash c o with
       | Hwpat_formal.Equiv.Proved -> ()
       | Hwpat_formal.Equiv.Counterexample _ | Hwpat_formal.Equiv.Unknown _ ->
-        Printf.printf "prove gate: blur equivalence not proved\n";
-        exit 1);
+        report "encoding" Fail "blur equivalence not proved");
       ( Unix.gettimeofday () -. t0,
         Hwpat_obs.Metrics.counter_value m "solver.propagations" )
     in
     let strash_s, strash_props = run true in
     let blast_s, blast_props = run false in
     let ratio = float_of_int blast_props /. float_of_int (max 1 strash_props) in
-    if ratio < 2.0 then begin
-      Printf.printf
-        "prove gate: strash spends %d solver propagations vs %d for blast \
-         (%.2fx, need >= 2.0)\n"
-        strash_props blast_props ratio;
-      exit 1
-    end;
-    Printf.printf
-      "\n  encoding gate passed: strash needs %.1fx fewer solver \
-       propagations than blast (%d vs %d)\n"
-      ratio strash_props blast_props;
+    report "encoding"
+      (if ratio < 2.0 then Fail else Pass)
+      "strash spends %d solver propagations vs %d for blast (%.2fx fewer, \
+       need >= 2.0)"
+      strash_props blast_props ratio;
     if blast_s > baseline_blur_s then
-      Printf.printf
-        "  speedup gate skipped: even the legacy blast proof took %.1f s \
-         here (recorded baseline row %.1f s) — machine too slow to compare \
-         wall clocks\n"
+      report "speedup" Skip
+        "even the legacy blast proof took %.1f s here (recorded baseline row \
+         %.1f s) — machine too slow to compare wall clocks"
         blast_s baseline_blur_s
-    else if strash_s > baseline_blur_s /. 2.0 then begin
-      Printf.printf
-        "prove gate: blur equivalence took %.2f s vs the %.1f s committed \
-         baseline row (need >= 2x)\n"
-        strash_s baseline_blur_s;
-      exit 1
-    end
     else
-      Printf.printf
-        "  speedup gate passed: blur equivalence %.2f s vs %.1f s committed \
-         baseline row (%.1fx)\n"
+      report "speedup"
+        (if strash_s > baseline_blur_s /. 2.0 then Fail else Pass)
+        "blur equivalence took %.2f s vs the %.1f s committed baseline row \
+         (%.1fx, need >= 2x)"
         strash_s baseline_blur_s
         (baseline_blur_s /. max 1e-9 strash_s)
   end
@@ -884,9 +856,7 @@ let prove_section ?(smoke = false) ?(max_jobs = 4) ?(gate = false) () =
 (* ---------------------------------------------------------------- *)
 
 let obsoverhead ?(smoke = false) () =
-  banner
-    (Printf.sprintf "§obsoverhead — observability layer cost, blur workload%s"
-       (if smoke then " (smoke)" else ""));
+  banner ~smoke "§obsoverhead — observability layer cost, blur workload";
   let module Trace = Hwpat_obs.Trace in
   let module Metrics = Hwpat_obs.Metrics in
   let side = if smoke then 16 else 32 in
@@ -904,11 +874,6 @@ let obsoverhead ?(smoke = false) () =
     in
     cycles := r.Experiment.cycles
   in
-  let time_once f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    max 1e-9 (Unix.gettimeofday () -. t0)
-  in
   (* Warm-up: touch every code path once before timing anything. *)
   run ~trace:(Trace.create ()) ~metrics:(Metrics.create ()) ();
   let configs =
@@ -924,7 +889,7 @@ let obsoverhead ?(smoke = false) () =
   let best = Array.make (List.length configs) infinity in
   for _ = 1 to reps do
     List.iteri
-      (fun i (_, f) -> best.(i) <- min best.(i) (time_once f))
+      (fun i (_, f) -> best.(i) <- min best.(i) (snd (time f)))
       configs
   done;
   let timed = List.mapi (fun i (name, _) -> (name, best.(i))) configs in
@@ -943,31 +908,29 @@ let obsoverhead ?(smoke = false) () =
   let budget_pct = 3.0 in
   let worst = overhead_pct "trace+metrics" in
   let ok = worst < budget_pct in
-  Printf.printf "  fully-enabled overhead %+.2f%% vs disabled (budget %.0f%%): %s\n"
-    worst budget_pct
-    (if ok then "PASS" else "FAIL");
-  let json =
-    let buf = Buffer.create 512 in
-    let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    emit "{\n  \"bench\": \"obsoverhead\",\n  \"smoke\": %b,\n" smoke;
-    emit "  \"workload\": \"blur %dx%d\",\n  \"cycles\": %d,\n  \"reps\": %d,\n"
-      side side !cycles reps;
-    emit "  \"configs\": [\n";
-    List.iteri
-      (fun i (name, seconds) ->
-        emit
-          "    {\"config\": %S, \"min_seconds\": %.6f, \"overhead_pct\": %.3f}%s\n"
-          name seconds
-          (if name = "disabled" then 0.0 else overhead_pct name)
-          (if i = List.length timed - 1 then "" else ","))
-      timed;
-    emit "  ],\n  \"budget_pct\": %.1f,\n  \"ok\": %b\n}\n" budget_pct ok;
-    Buffer.contents buf
-  in
-  let path = "BENCH_obs.json" in
-  Hwpat_rtl.Util.write_file path json;
-  Printf.printf "\n  wrote %s\n" path;
-  if not ok then exit 1
+  write_bench "BENCH_obs.json"
+    (Json.Obj
+       [
+         ("bench", Json.String "obsoverhead");
+         ("smoke", Json.Bool smoke);
+         ("workload", Json.String (Printf.sprintf "blur %dx%d" side side));
+         ("cycles", Json.Int !cycles);
+         ("reps", Json.Int reps);
+         ( "configs",
+           table
+             (fun (name, seconds) ->
+               [
+                 ("config", Json.String name);
+                 ("min_seconds", Json.rounded 6 seconds);
+                 ("overhead_pct", Json.rounded 3 (overhead_pct name));
+               ])
+             timed );
+         ("budget_pct", Json.Float budget_pct);
+         ("ok", Json.Bool ok);
+       ]);
+  report "overhead"
+    (if ok then Pass else Fail)
+    "fully-enabled %+.2f%% vs disabled (budget %.0f%%)" worst budget_pct
 
 (* ---------------------------------------------------------------- *)
 (* §resilience: cost and fidelity of supervised execution.            *)
@@ -982,9 +945,7 @@ let obsoverhead ?(smoke = false) () =
 (* ---------------------------------------------------------------- *)
 
 let resilience ?(smoke = false) () =
-  banner
-    (Printf.sprintf "§resilience — supervised campaign execution%s"
-       (if smoke then " (smoke)" else ""));
+  banner ~smoke "§resilience — supervised campaign execution";
   (* Shards must be long enough that the per-shard journal append (a
      constant sub-millisecond cost) and scheduler noise cannot
      masquerade as overhead on the 3% budget. *)
@@ -1008,9 +969,7 @@ let resilience ?(smoke = false) () =
     (* Settle the GC first so debt from the previous run (the other
        config) is not billed to this one. *)
     Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    max 1e-9 (Unix.gettimeofday () -. t0)
+    snd (time f)
   in
   (* Warm-up: touch both code paths before timing. *)
   ignore (campaign ~checkpoint:journal ());
@@ -1039,10 +998,6 @@ let resilience ?(smoke = false) () =
     reps;
   Printf.printf "  %-22s %8.3f s/run (min of %d)\n" "checkpoint journal"
     !t_journal reps;
-  Printf.printf
-    "  checkpoint overhead %+.2f%% (median of paired reps, budget %.0f%%): %s\n"
-    overhead_pct budget_pct
-    (if overhead_ok then "PASS" else "FAIL");
   (* (b) Crash-and-resume fidelity, across the sharded path. *)
   let reference = Faultsim.render (campaign ~jobs:2 ~checkpoint:journal ()) in
   let lines =
@@ -1074,29 +1029,30 @@ let resilience ?(smoke = false) () =
     "  resume from a torn half-journal (%d of %d lines): %s\n" keep
     (List.length lines)
     (if identical then "byte-identical summary" else "SUMMARY DIVERGED");
-  let ok = overhead_ok && identical in
-  let json =
-    let buf = Buffer.create 512 in
-    let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    emit "{\n  \"bench\": \"resilience\",\n  \"smoke\": %b,\n" smoke;
-    emit "  \"workload\": \"faultsim %s %d faults %dx%d\",\n" design faults fw
-      fw;
-    emit "  \"reps\": %d,\n" reps;
-    emit "  \"plain_min_seconds\": %.6f,\n" !t_plain;
-    emit "  \"checkpoint_min_seconds\": %.6f,\n" !t_journal;
-    emit "  \"paired_overhead_pcts\": [%s],\n"
-      (String.concat ", "
-         (Array.to_list (Array.map (Printf.sprintf "%.3f") pair_pct)));
-    emit "  \"checkpoint_overhead_pct\": %.3f,\n" overhead_pct;
-    emit "  \"budget_pct\": %.1f,\n" budget_pct;
-    emit "  \"resume_identical\": %b,\n" identical;
-    emit "  \"ok\": %b\n}\n" ok;
-    Buffer.contents buf
-  in
-  let path = "BENCH_resil.json" in
-  Hwpat_rtl.Util.write_file path json;
-  Printf.printf "\n  wrote %s\n" path;
-  if not ok then exit 1
+  write_bench "BENCH_resil.json"
+    (Json.Obj
+       [
+         ("bench", Json.String "resilience");
+         ("smoke", Json.Bool smoke);
+         ( "workload",
+           Json.String
+             (Printf.sprintf "faultsim %s %d faults %dx%d" design faults fw fw)
+         );
+         ("reps", Json.Int reps);
+         ("plain_min_seconds", Json.rounded 6 !t_plain);
+         ("checkpoint_min_seconds", Json.rounded 6 !t_journal);
+         ( "paired_overhead_pcts",
+           Json.List (Array.to_list (Array.map (Json.rounded 3) pair_pct)) );
+         ("checkpoint_overhead_pct", Json.rounded 3 overhead_pct);
+         ("budget_pct", Json.Float budget_pct);
+         ("resume_identical", Json.Bool identical);
+         ("ok", Json.Bool (overhead_ok && identical));
+       ]);
+  report "checkpoint overhead"
+    (if overhead_ok then Pass else Fail)
+    "%+.2f%% (median of paired reps, budget %.0f%%)" overhead_pct budget_pct;
+  if not identical then
+    report "resume" Fail "resumed summary diverged from the uninterrupted run"
 
 (* ---------------------------------------------------------------- *)
 (* §serve: the design-service daemon, measured end to end through a   *)
@@ -1108,9 +1064,7 @@ let resilience ?(smoke = false) () =
 (* ---------------------------------------------------------------- *)
 
 let serve_section ?(smoke = false) ?(gate = false) () =
-  banner
-    (Printf.sprintf "§serve — design-service daemon, cold vs warm cache%s"
-       (if smoke then " (smoke)" else ""));
+  banner ~smoke "§serve — design-service daemon, cold vs warm cache";
   let module Server = Hwpat_serve.Server in
   let write_all fd s =
     let n = String.length s in
@@ -1121,8 +1075,8 @@ let serve_section ?(smoke = false) ?(gate = false) () =
   in
   (* A pipelined client: send [lines], read until the same number of
      newline-terminated responses has arrived, and fail loudly if any
-     of them is an error — a bench that times rejections would be
-     measuring the wrong thing. *)
+     of them does not parse or is an error — a bench that times
+     rejections would be measuring the wrong thing. *)
   let roundtrip fd lines =
     write_all fd (String.concat "\n" lines ^ "\n");
     let want = List.length lines in
@@ -1140,14 +1094,23 @@ let serve_section ?(smoke = false) ?(gate = false) () =
     let out = Buffer.contents buf in
     List.iter
       (fun line ->
-        match String.index_opt line ':' with
-        | Some i when String.length line > i + 1 ->
-          let tag = String.sub line (i + 1) 7 in
-          if String.length tag >= 6 && String.sub tag 0 6 = "\"error" then
-            failwith ("serve bench: error response: " ^ line)
-        | _ -> ())
+        if line <> "" then
+          match Json.parse line with
+          | Error e -> failwith ("serve bench: unparsable response: " ^ e)
+          | Ok doc ->
+            if Json.member "error" doc <> None then
+              failwith ("serve bench: error response: " ^ line))
       (String.split_on_char '\n' out);
     out
+  in
+  let request id meth params =
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Int id);
+           ("method", Json.String meth);
+           ("params", Json.Obj params);
+         ])
   in
   let with_server ~jobs f =
     let server =
@@ -1165,21 +1128,25 @@ let serve_section ?(smoke = false) ?(gate = false) () =
         Server.shutdown server)
       (fun () -> f client)
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, max 1e-9 (Unix.gettimeofday () -. t0))
-  in
   let side = if smoke then 10 else 16 in
+  let simulate_blur id =
+    request id "simulate"
+      [
+        ("design", Json.String "blur");
+        ("width", Json.Int side);
+        ("height", Json.Int side);
+      ]
+  in
   let pair =
     [
-      Printf.sprintf
-        "{\"id\":1,\"method\":\"elaborate\",\"params\":{\"container\":\"queue\",\
-         \"target\":\"bram\",\"width\":8,\"depth\":4096}}";
-      Printf.sprintf
-        "{\"id\":2,\"method\":\"simulate\",\"params\":{\"design\":\"blur\",\
-         \"width\":%d,\"height\":%d}}"
-        side side;
+      request 1 "elaborate"
+        [
+          ("container", Json.String "queue");
+          ("target", Json.String "bram");
+          ("width", Json.Int 8);
+          ("depth", Json.Int 4096);
+        ];
+      simulate_blur 2;
     ]
   in
   (* (a) Cold vs warm on a single-worker server: the first pair pays
@@ -1206,69 +1173,55 @@ let serve_section ?(smoke = false) ?(gate = false) () =
   Printf.printf "  warm speedup              %8.1fx  %s\n" speedup
     (if warm_identical then "responses byte-identical to cold"
      else "RESPONSES DIVERGED");
-  if not warm_identical then begin
-    Printf.eprintf
-      "serve bench: warm responses are not byte-identical to the cold run\n";
-    exit 1
-  end;
+  if not warm_identical then
+    report "identity" Fail
+      "warm responses are not byte-identical to the cold run";
   (* (b) Sustained throughput: one pipelined connection, jobs:4 pool,
      all requests warm — the steady state a build system or sweep
      driver would see. *)
   let stream_n = if smoke then 200 else 1_000 in
-  let stream_req i =
-    Printf.sprintf
-      "{\"id\":%d,\"method\":\"simulate\",\"params\":{\"design\":\"blur\",\
-       \"width\":%d,\"height\":%d}}"
-      i side side
-  in
   let stream_s =
     with_server ~jobs:4 (fun fd ->
         (* warm the caches outside the timed window *)
-        ignore (roundtrip fd [ stream_req 0 ]);
+        ignore (roundtrip fd [ simulate_blur 0 ]);
         let _, s =
           time (fun () ->
-              roundtrip fd (List.init stream_n (fun i -> stream_req (i + 1))))
+              roundtrip fd (List.init stream_n (fun i -> simulate_blur (i + 1))))
         in
         s)
   in
   let req_per_s = float_of_int stream_n /. stream_s in
   Printf.printf "  sustained (jobs:4, warm)  %8.0f req/s  (%d requests)\n"
     req_per_s stream_n;
-  let gate_skipped_noise = cold_s < 0.002 in
   if gate then
-    if gate_skipped_noise then
-      Printf.printf
-        "\n  speedup gate skipped: cold pair finished in %.3f ms — too fast \
-         to time against noise\n"
+    if cold_s < 0.002 then
+      report "speedup" Skip
+        "cold pair finished in %.3f ms — too fast to time against noise"
         (1000.0 *. cold_s)
-    else if speedup < 5.0 then begin
-      Printf.eprintf
-        "serve gate: warm cache is %.2fx vs cold (need >= 5.0)\n" speedup;
-      exit 1
-    end
     else
-      Printf.printf "\n  speedup gate passed: warm cache is %.1fx vs cold\n"
-        speedup;
-  let json =
-    let buf = Buffer.create 512 in
-    let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    emit "{\n  \"bench\": \"serve\",\n  \"smoke\": %b,\n" smoke;
-    emit "  \"workload\": \"elaborate queue/bram d=4096 + simulate blur %dx%d\",\n"
-      side side;
-    emit "  \"cold_seconds\": %.6f,\n" cold_s;
-    emit "  \"warm_min_seconds\": %.6f,\n" warm_s;
-    emit "  \"warm_reps\": %d,\n" warm_reps;
-    emit "  \"warm_speedup\": %.2f,\n" speedup;
-    emit "  \"warm_identical\": %b,\n" warm_identical;
-    emit "  \"stream_requests\": %d,\n" stream_n;
-    emit "  \"stream_jobs\": 4,\n";
-    emit "  \"stream_seconds\": %.6f,\n" stream_s;
-    emit "  \"requests_per_sec\": %.1f\n}\n" req_per_s;
-    Buffer.contents buf
-  in
-  let path = "BENCH_serve.json" in
-  Hwpat_rtl.Util.write_file path json;
-  Printf.printf "\n  wrote %s\n" path
+      report "speedup"
+        (if speedup < 5.0 then Fail else Pass)
+        "warm cache is %.2fx vs cold (need >= 5.0)" speedup;
+  write_bench "BENCH_serve.json"
+    (Json.Obj
+       [
+         ("bench", Json.String "serve");
+         ("smoke", Json.Bool smoke);
+         ( "workload",
+           Json.String
+             (Printf.sprintf
+                "elaborate queue/bram d=4096 + simulate blur %dx%d" side side)
+         );
+         ("cold_seconds", Json.rounded 6 cold_s);
+         ("warm_min_seconds", Json.rounded 6 warm_s);
+         ("warm_reps", Json.Int warm_reps);
+         ("warm_speedup", Json.rounded 2 speedup);
+         ("warm_identical", Json.Bool warm_identical);
+         ("stream_requests", Json.Int stream_n);
+         ("stream_jobs", Json.Int 4);
+         ("stream_seconds", Json.rounded 6 stream_s);
+         ("requests_per_sec", Json.rounded 1 req_per_s);
+       ])
 
 (* ---------------------------------------------------------------- *)
 (* Bechamel wall-clock benches: one per table.                        *)

@@ -10,6 +10,14 @@
 
 open Cmdliner
 
+(* [text] on stdout, or written to [path] (atomically) with a note. *)
+let output_text out text =
+  match out with
+  | None -> print_string text
+  | Some path ->
+    Hwpat_base.Atomic_file.write path text;
+    Printf.printf "wrote %s\n" path
+
 let kind_conv =
   let parse s =
     match String.lowercase_ascii s with
@@ -55,11 +63,7 @@ let generate kind target width depth bus parity op_timeout iterator out =
     else Hwpat_meta.Codegen.generate_container cfg
   in
   let issues = Hwpat_meta.Vhdl_lint.check text in
-  (match out with
-  | None -> print_string text
-  | Some path ->
-    Hwpat_rtl.Util.write_file path text;
-    Printf.printf "wrote %s\n" path);
+  output_text out text;
   if issues <> [] then begin
     List.iter
       (fun i -> Format.eprintf "lint: %a@." Hwpat_meta.Vhdl_lint.pp_issue i)
@@ -147,11 +151,7 @@ let package out =
   let text =
     Hwpat_meta.Codegen.generate_package ~name:"basic_components" configs
   in
-  match out with
-  | None -> print_string text
-  | Some path ->
-    Hwpat_rtl.Util.write_file path text;
-    Printf.printf "wrote %s\n" path
+  output_text out text
 
 let package_cmd =
   let out = Arg.(value & opt (some string) None & info [ "o"; "output" ]) in
@@ -625,12 +625,11 @@ let prove smoke jobs json budget portfolio checkpoint resume retries
       ~resume ~budget ~smoke ?portfolio ()
   in
   print_string (Hwpat_core.Prove.summary results);
-  (match json with
-  | None -> ()
-  | Some path ->
-    Hwpat_rtl.Util.write_file path
-      (Hwpat_core.Prove.to_json ~jobs ~smoke results);
-    Printf.printf "wrote %s\n" path);
+  Option.iter
+    (fun path ->
+      output_text (Some path)
+        (Hwpat_base.Json.pretty (Hwpat_core.Prove.to_json ~jobs ~smoke results)))
+    json;
   if Hwpat_core.Parallel.cancelled cancel then exit_interrupted ~checkpoint;
   if not (Hwpat_core.Prove.all_ok results) then exit 1
 
@@ -829,11 +828,7 @@ let emit design style lang optimize out =
       failwith
         (Printf.sprintf "unknown language %S (valid: vhdl, verilog, dot)" other)
   in
-  match out with
-  | None -> print_string text
-  | Some path ->
-    Hwpat_rtl.Util.write_file path text;
-    Printf.printf "wrote %s\n" path
+  output_text out text
 
 let emit_cmd =
   let lang =

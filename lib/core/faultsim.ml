@@ -501,31 +501,32 @@ let render summary =
    two campaigns with the same parameters — serial or sharded, in the
    same process or not — render to identical bytes. *)
 let summary_to_json summary =
-  let buf = Buffer.create 1024 in
-  let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  emit "{\n  \"design\": %S,\n  \"seed\": %d,\n  \"monitors\": %d,\n"
-    summary.design summary.seed summary.monitors;
-  emit "  \"baseline_cycles\": %d,\n" summary.baseline_cycles;
-  emit "  \"faults\": %d,\n  \"detected\": %d,\n  \"masked\": %d,\n"
-    (List.length summary.results)
-    (count summary Detected) (count summary Masked);
-  emit "  \"silent\": %d,\n  \"unfinished\": %d,\n  \"coverage\": %.4f,\n"
-    (count summary Silent) (count summary Unfinished) (coverage summary);
-  emit "  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      emit
-        "    {\"fault\": %S, \"outcome\": %S, \"detail\": %s, \
-         \"err_flag\": %b, \"completed\": %b, \"cycles\": %d}%s\n"
-        r.description (outcome_name r.outcome)
-        (match r.detail with
-        | Some d -> Printf.sprintf "%S" d
-        | None -> "null")
-        r.err_flag r.completed r.cycles
-        (if i = List.length summary.results - 1 then "" else ","))
-    summary.results;
-  emit "  ]\n}\n";
-  Buffer.contents buf
+  let module J = Hwpat_base.Json in
+  let result r =
+    J.Obj
+      [
+        ("fault", J.String r.description);
+        ("outcome", J.String (outcome_name r.outcome));
+        ("detail", match r.detail with Some d -> J.String d | None -> J.Null);
+        ("err_flag", J.Bool r.err_flag);
+        ("completed", J.Bool r.completed);
+        ("cycles", J.Int r.cycles);
+      ]
+  in
+  J.Obj
+    [
+      ("design", J.String summary.design);
+      ("seed", J.Int summary.seed);
+      ("monitors", J.Int summary.monitors);
+      ("baseline_cycles", J.Int summary.baseline_cycles);
+      ("faults", J.Int (List.length summary.results));
+      ("detected", J.Int (count summary Detected));
+      ("masked", J.Int (count summary Masked));
+      ("silent", J.Int (count summary Silent));
+      ("unfinished", J.Int (count summary Unfinished));
+      ("coverage", J.rounded 4 (coverage summary));
+      ("results", J.List (List.map result summary.results));
+    ]
 
 (* FF/LUT/fmax cost of the generated protection hardware, through the
    same estimation pipeline as Table 3. *)

@@ -141,9 +141,10 @@ val find_design : string -> unit -> Circuit.t
 
 val render : summary -> string
 
-val summary_to_json : summary -> string
+val summary_to_json : summary -> Hwpat_base.Json.t
 (** Machine-readable summary; byte-stable across reruns and job counts
-    (the parallel determinism tests compare these bytes). *)
+    once printed (the parallel determinism tests compare these
+    bytes). *)
 
 val protection_overhead :
   ?board:Hwpat_synthesis.Board.t -> unit ->

@@ -11,14 +11,18 @@
    tolerant reader: a SIGKILL can tear at most the final line, and the
    loader simply stops at the first line that does not parse — every
    fully-flushed record before it is preserved.  (The final summary
-   artifacts go through [Util.with_out_file]'s atomic tmp+rename
+   artifacts go through [Hwpat_base.Atomic_file]'s atomic tmp+rename
    scheme instead; the journal is the one file that must survive
    being killed mid-write, which is exactly what append-only gives.)
 
-   Strings are escaped with OCaml's [%S] — a superset of JSON string
-   escaping for the printable-ASCII descriptions the campaigns emit —
-   and parsed back with [Scanf]'s [%S], so a record round-trips
-   byte-exactly without a JSON parser. *)
+   Strings are escaped with OCaml's [%S] and parsed back with
+   [Scanf]'s [%S], so a record round-trips byte-exactly without a JSON
+   parser.  [%S] agrees with JSON string escaping only on printable
+   ASCII: other control bytes and every byte >= 128 become [\ddd]
+   decimal escapes, which JSON rejects.  The campaigns' descriptions
+   are printable ASCII, so their lines happen to be valid JSON, but
+   the format is [%S]'s, not JSON's — it is kept as is because
+   [--resume] reads journals already on disk. *)
 
 type entry = { e_key : string; e_data : string }
 
@@ -101,7 +105,7 @@ let start ~path ~config ~resume =
   (* Rewrite the journal from the surviving records (through the
      atomic tmp+rename writer), dropping any torn tail, then reopen in
      append mode for the new run's records. *)
-  Hwpat_rtl.Util.with_out_file path (fun oc ->
+  Hwpat_base.Atomic_file.with_out path (fun oc ->
       output_string oc (header_line config);
       output_char oc '\n';
       Hashtbl.fold (fun k d acc -> (k, d) :: acc) completed []

@@ -437,29 +437,34 @@ let run ?(trace = Hwpat_obs.Trace.null) ?(metrics = Hwpat_obs.Metrics.null)
 let all_ok results = List.for_all (fun r -> r.ok) results
 
 let to_json ~jobs ~smoke results =
-  let buf = Buffer.create 1024 in
-  let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let module J = Hwpat_base.Json in
   let proved = List.length (List.filter (fun r -> r.ok) results) in
   let unknown = List.length (List.filter (fun r -> r.unknown) results) in
-  emit "{\n  \"section\": \"prove\",\n  \"jobs\": %d,\n  \"smoke\": %b,\n" jobs
-    smoke;
-  emit "  \"obligations\": %d,\n  \"proved\": %d,\n  \"failed\": %d,\n"
-    (List.length results) proved
-    (List.length results - proved - unknown);
-  emit "  \"unknown\": %d,\n" unknown;
-  emit "  \"total_seconds\": %.3f,\n"
-    (List.fold_left (fun acc r -> acc +. r.seconds) 0.0 results);
-  emit "  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      emit
-        "    {\"name\": %S, \"kind\": %S, \"ok\": %b, \"unknown\": %b, \
-         \"status\": %S, \"seconds\": %.3f}%s\n"
-        r.name r.kind r.ok r.unknown r.status r.seconds
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  emit "  ]\n}\n";
-  Buffer.contents buf
+  let result r =
+    J.Obj
+      [
+        ("name", J.String r.name);
+        ("kind", J.String r.kind);
+        ("ok", J.Bool r.ok);
+        ("unknown", J.Bool r.unknown);
+        ("status", J.String r.status);
+        ("seconds", J.rounded 3 r.seconds);
+      ]
+  in
+  J.Obj
+    [
+      ("section", J.String "prove");
+      ("jobs", J.Int jobs);
+      ("smoke", J.Bool smoke);
+      ("obligations", J.Int (List.length results));
+      ("proved", J.Int proved);
+      ("failed", J.Int (List.length results - proved - unknown));
+      ("unknown", J.Int unknown);
+      ( "total_seconds",
+        J.rounded 3 (List.fold_left (fun acc r -> acc +. r.seconds) 0.0 results)
+      );
+      ("results", J.List (List.map result results));
+    ]
 
 let summary results =
   let buf = Buffer.create 1024 in

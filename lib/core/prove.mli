@@ -84,6 +84,10 @@ val run :
     totals ([prove.*]). *)
 
 val all_ok : result list -> bool
-val to_json : jobs:int -> smoke:bool -> result list -> string
+
+val to_json : jobs:int -> smoke:bool -> result list -> Hwpat_base.Json.t
+(** The battery as [prove --json] and BENCH_prove.json record it;
+    seconds are rounded to the millisecond. *)
+
 val summary : result list -> string
 (** One line per obligation plus a final proved/failed count. *)

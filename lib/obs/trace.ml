@@ -1,4 +1,13 @@
-type arg = Int of int | Float of float | String of string | Bool of bool
+open Hwpat_base
+
+type arg = Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | String of string
+  | List of arg list
+  | Obj of (string * arg) list
 
 type event = {
   e_name : string;
@@ -118,37 +127,6 @@ let counter t name series =
 (* Export                                                           *)
 (* ---------------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.12g" f else "null"
-
-let arg_json = function
-  | Int i -> string_of_int i
-  | Float f -> json_float f
-  | String s -> Printf.sprintf "\"%s\"" (escape s)
-  | Bool b -> if b then "true" else "false"
-
-let args_json args =
-  String.concat ","
-    (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (arg_json v))
-       args)
-
 let events_of = function
   | Null -> []
   | Active a ->
@@ -158,21 +136,22 @@ let events_of = function
     List.rev es
 
 let to_chrome_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n{\"name\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f,\"dur\":%.3f,\
-            \"pid\":1,\"tid\":%d%s,\"args\":{%s}}"
-           (escape e.e_name) e.e_ph e.e_ts e.e_dur e.e_tid
-           (if e.e_ph = 'i' then ",\"s\":\"t\"" else "")
-           (args_json e.e_args)))
-    (events_of t);
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  let event e =
+    Json.Obj
+      ([
+         ("name", Json.String e.e_name);
+         ("ph", Json.String (String.make 1 e.e_ph));
+         ("ts", Json.rounded 3 e.e_ts);
+         ("dur", Json.rounded 3 e.e_dur);
+         ("pid", Json.Int 1);
+         ("tid", Json.Int e.e_tid);
+       ]
+      @ (if e.e_ph = 'i' then [ ("s", Json.String "t") ] else [])
+      @ [ ("args", Json.Obj e.e_args) ])
+  in
+  Json.to_string
+    (Json.Obj [ ("traceEvents", Json.List (List.map event (events_of t))) ])
+  ^ "\n"
 
 let summary t =
   let agg = Hashtbl.create 16 in
@@ -209,17 +188,4 @@ let summary t =
     paths;
   Buffer.contents buf
 
-(* Temp-file + rename so a crash mid-flush never leaves a truncated
-   trace under the published name (same scheme as Hwpat_rtl.Util,
-   duplicated here to keep this library dependency-free). *)
-let write_file t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  match output_string oc (to_chrome_json t) with
-  | () ->
-    close_out oc;
-    Sys.rename tmp path
-  | exception e ->
-    close_out_noerr oc;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+let write_file t path = Atomic_file.write path (to_chrome_json t)

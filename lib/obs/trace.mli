@@ -16,11 +16,15 @@
 
 type t
 
-type arg =
+(** A span or event argument: any JSON value, exported as is. *)
+type arg = Hwpat_base.Json.t =
+  | Null
+  | Bool of bool
   | Int of int
   | Float of float
   | String of string
-  | Bool of bool
+  | List of arg list
+  | Obj of (string * arg) list
 
 val null : t
 (** The disabled trace: every operation returns immediately. *)
@@ -48,8 +52,10 @@ val counter : t -> string -> (string * float) list -> unit
     stacked chart by the trace viewer. *)
 
 val to_chrome_json : t -> string
-(** The whole trace as [{"traceEvents": [...]}].  For {!null} this is
-    an empty event list. *)
+(** The whole trace as [{"traceEvents": [...]}], in
+    {!Hwpat_base.Json.to_string}'s compact layout with [ts] and [dur]
+    rounded to the nanosecond.  For {!null} this is an empty event
+    list. *)
 
 val summary : t -> string
 (** Human-readable tree: spans aggregated by path (parent/child names
@@ -57,4 +63,4 @@ val summary : t -> string
     indented under parents. *)
 
 val write_file : t -> string -> unit
-(** [to_chrome_json] to a file (closed on raise). *)
+(** [to_chrome_json] to a file, through {!Hwpat_base.Atomic_file}. *)

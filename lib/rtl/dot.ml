@@ -65,4 +65,4 @@ let to_string circuit =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_file circuit path = Util.write_file path (to_string circuit)
+let write_file circuit path = Hwpat_base.Atomic_file.write path (to_string circuit)

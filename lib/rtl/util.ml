@@ -6,28 +6,3 @@ let clog2 n =
 let address_bits n = max 1 (clog2 n)
 let bits_to_represent n = max 1 (clog2 (n + 1))
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
-
-(* All writers funnel through a temp-file + rename scheme: the
-   callback streams into [path ^ ".tmp"] in the target directory
-   and the finished file is renamed over [path] only after a clean
-   close.  A crash, kill or raised exception mid-write therefore never
-   leaves a truncated artifact under the published name — the previous
-   contents (if any) survive intact and the orphaned temp file is
-   removed on the exception path.  Rename within one directory is
-   atomic on POSIX. *)
-let with_out_file path f =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  match f oc with
-  | v ->
-    close_out oc;
-    Sys.rename tmp path;
-    v
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    close_out_noerr oc;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    Printexc.raise_with_backtrace e bt
-
-let write_file path contents =
-  with_out_file path (fun oc -> output_string oc contents)

@@ -11,20 +11,3 @@ val bits_to_represent : int -> int
 (** Bits needed to hold the value [n] itself: [bits_to_represent 8 = 4]. *)
 
 val is_power_of_two : int -> bool
-
-(** {1 Output files}
-
-    All writers in the library funnel through these so a crashed,
-    killed or raising run can never leave a truncated artifact under
-    the published name: the callback streams into [path ^ ".tmp"] and
-    the temp file is renamed over [path] (atomic within a directory on
-    POSIX) only after a clean close.  On an exception the temp file is
-    removed and any previous contents of [path] survive intact. *)
-
-val with_out_file : string -> (out_channel -> 'a) -> 'a
-(** Open [path ^ ".tmp"] for writing, run the callback, close, and
-    atomically rename the result to [path]. If the callback raises,
-    the channel is closed, the temp file removed, and the exception
-    re-raised with its backtrace; [path] is left untouched. *)
-
-val write_file : string -> string -> unit

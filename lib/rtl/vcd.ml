@@ -137,4 +137,4 @@ let to_string t =
   Buffer.add_buffer buf t.changes;
   Buffer.contents buf
 
-let write_file t path = Util.write_file path (to_string t)
+let write_file t path = Hwpat_base.Atomic_file.write path (to_string t)

@@ -55,14 +55,6 @@ let with_result_cache t ~key ~params ?(cacheable = fun _ -> true) compute =
       if cacheable v then Cache.add t.results key v;
       v
 
-let reparse label text =
-  match Json.parse text with
-  | Ok v -> v
-  | Error e ->
-    raise
-      (Protocol.Error
-         (Internal, Printf.sprintf "%s produced invalid JSON: %s" label e))
-
 (* Request [jobs] param: in-request campaign sharding, defaulting to
    the server-wide setting. *)
 let request_jobs t params =
@@ -282,11 +274,10 @@ let faultsim t ctx params =
           ~faults ~frame_width:frame_size ~frame_height:frame_size ~build
           ~design ()
       in
-      let body = reparse "faultsim" (Faultsim.summary_to_json summary) in
       Json.Obj
         [
           ("key", Json.String key);
-          ("summary", body);
+          ("summary", Faultsim.summary_to_json summary);
           ("coverage", Json.Float (Faultsim.coverage summary));
           ("silent", Json.Int (Faultsim.count summary Faultsim.Silent));
           ( "unfinished",
@@ -333,9 +324,7 @@ let sweep t ctx params =
             Json.Int
               (List.length
                  (Hwpat_synthesis.Design_space.unmeasurable candidates)) );
-          ( "candidates",
-            reparse "sweep" (Hwpat_synthesis.Design_space.to_json candidates)
-          );
+          ("candidates", Hwpat_synthesis.Design_space.to_json candidates);
         ])
 
 (* --- prove --------------------------------------------------------------- *)
@@ -362,7 +351,7 @@ let prove t ctx params =
     [
       ("smoke", Json.Bool smoke);
       ("ok", Json.Bool (Prove.all_ok results));
-      ("battery", reparse "prove" (Prove.to_json ~jobs ~smoke results));
+      ("battery", Prove.to_json ~jobs ~smoke results);
     ]
 
 (* --- sleep: deterministic deadline target for the tests ------------------ *)

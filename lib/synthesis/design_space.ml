@@ -92,22 +92,24 @@ let to_table candidates =
   String.concat "\n" (header :: sep :: rows)
 
 let to_json candidates =
-  let buf = Buffer.create 1024 in
-  let emit fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  emit "[\n";
-  List.iteri
-    (fun i c ->
-      emit
-        "  {\"label\": %S, \"container\": %S, \"target\": %S, \"elem_width\": \
-         %d, \"depth\": %d, \"luts\": %d, \"ffs\": %d, \"brams\": %d, \
-         \"measured\": %b, \"access_cycles\": %s, \"fmax_mhz\": %.2f, \
-         \"power_mw\": %s}%s\n"
-        c.label c.container c.target c.elem_width c.depth c.luts c.ffs c.brams
-        c.measured
-        (if c.measured then Printf.sprintf "%.4f" c.access_cycles else "null")
-        c.fmax_mhz
-        (if c.measured then Printf.sprintf "%.4f" c.power_mw else "null")
-        (if i = List.length candidates - 1 then "" else ","))
-    candidates;
-  emit "]\n";
-  Buffer.contents buf
+  let module J = Hwpat_base.Json in
+  let if_measured c x = if c.measured then J.rounded 4 x else J.Null in
+  J.List
+    (List.map
+       (fun c ->
+         J.Obj
+           [
+             ("label", J.String c.label);
+             ("container", J.String c.container);
+             ("target", J.String c.target);
+             ("elem_width", J.Int c.elem_width);
+             ("depth", J.Int c.depth);
+             ("luts", J.Int c.luts);
+             ("ffs", J.Int c.ffs);
+             ("brams", J.Int c.brams);
+             ("measured", J.Bool c.measured);
+             ("access_cycles", if_measured c c.access_cycles);
+             ("fmax_mhz", J.rounded 2 c.fmax_mhz);
+             ("power_mw", if_measured c c.power_mw);
+           ])
+       candidates)

@@ -57,8 +57,9 @@ val to_table : candidate list -> string
 (** Render candidates as an aligned text table; unmeasurable points
     show [timeout] in the cycles-per-access column. *)
 
-val to_json : candidate list -> string
+val to_json : candidate list -> Hwpat_base.Json.t
 (** Machine-readable rendering (a JSON array, one object per
-    candidate, [null] access/power for unmeasurable points). Field
-    formatting is fixed so equal candidate lists render to identical
-    bytes — the sharded-sweep determinism tests compare these. *)
+    candidate, [null] access/power for unmeasurable points).  Measured
+    values keep a fixed number of decimals, so equal candidate lists
+    render to identical bytes — the sharded-sweep determinism tests
+    compare these. *)

@@ -106,6 +106,9 @@ let test_lane_isolation () =
 
 (* --- Campaign byte-identity ---------------------------------------------- *)
 
+(* The compact bytes the daemon would send: what "byte-identical" means. *)
+let summary_json s = Hwpat_base.Json.to_string (Faultsim.summary_to_json s)
+
 let campaign ?lanes ?checkpoint ?(resume = false) ~jobs () =
   Faultsim.run_campaign ?lanes ?checkpoint ~resume ~jobs ~seed:5 ~faults:10
     ~frame_width:6 ~frame_height:6
@@ -113,19 +116,19 @@ let campaign ?lanes ?checkpoint ?(resume = false) ~jobs () =
     ~design:"saa2vga_sram_pattern" ()
 
 let test_lane_count_byte_identity () =
-  let reference = Faultsim.summary_to_json (campaign ~jobs:2 ()) in
+  let reference = summary_json (campaign ~jobs:2 ()) in
   List.iter
     (fun lanes ->
       Alcotest.(check string)
         (Printf.sprintf "lanes:%d = scalar" lanes)
         reference
-        (Faultsim.summary_to_json (campaign ~lanes ~jobs:2 ())))
+        (summary_json (campaign ~lanes ~jobs:2 ())))
     [ 1; 3; 64 ]
 
 (* With 10 faults and 3 lanes the campaign is 4 batches — enough to
    shard unevenly across 4 domains. *)
 let test_batched_jobs_deterministic () =
-  let run jobs = Faultsim.summary_to_json (campaign ~lanes:3 ~jobs ()) in
+  let run jobs = summary_json (campaign ~lanes:3 ~jobs ()) in
   Alcotest.(check string) "batched jobs:1 = jobs:4" (run 1) (run 4)
 
 (* --- Checkpoint/resume over the batched path ----------------------------- *)
@@ -142,7 +145,7 @@ let with_temp_path f =
    replays the scalar verdicts and re-runs only the missing faults —
    byte-identically. *)
 let test_scalar_journal_batched_resume () =
-  let reference = Faultsim.summary_to_json (campaign ~jobs:2 ()) in
+  let reference = summary_json (campaign ~jobs:2 ()) in
   with_temp_path @@ fun path ->
   ignore (campaign ~checkpoint:path ~jobs:2 ());
   let lines =
@@ -168,19 +171,19 @@ let test_scalar_journal_batched_resume () =
   let resumed = campaign ~checkpoint:partial ~resume:true ~lanes:4 ~jobs:2 () in
   Alcotest.(check string)
     "scalar journal + batched resume is byte-identical" reference
-    (Faultsim.summary_to_json resumed)
+    (summary_json resumed)
 
 (* A zero-length checkpoint (killed before the header flushed) resumed
    must behave exactly like a fresh run — with a note, never a
    Config_mismatch — on the batched path too. *)
 let test_empty_checkpoint_fresh_run () =
-  let reference = Faultsim.summary_to_json (campaign ~jobs:2 ()) in
+  let reference = summary_json (campaign ~jobs:2 ()) in
   with_temp_path @@ fun path ->
   close_out (open_out path) (* truncate to zero length *);
   let resumed = campaign ~checkpoint:path ~resume:true ~lanes:4 ~jobs:2 () in
   Alcotest.(check string)
     "empty checkpoint resumes as a fresh run" reference
-    (Faultsim.summary_to_json resumed)
+    (summary_json resumed)
 
 let contains hay needle =
   let hl = String.length hay and nl = String.length needle in

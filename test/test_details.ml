@@ -253,7 +253,7 @@ let read_back path =
   close_in ic;
   contents
 
-(* Every writer in the library funnels through Util.with_out_file,
+(* Every writer in the library funnels through Atomic_file.with_out,
    which streams into a temp file and renames over the target only
    after a clean close. A callback that raises must leave the previous
    contents of [path] untouched, clean up the temp file, and let the
@@ -261,10 +261,10 @@ let read_back path =
    publishes a truncated artifact. *)
 let test_writer_atomic_on_raise () =
   let path = Filename.temp_file "hwpat_util" ".txt" in
-  Util.write_file path "previous";
+  Hwpat_base.Atomic_file.write path "previous";
   let escaped = ref false in
   (try
-     Util.with_out_file path (fun oc ->
+     Hwpat_base.Atomic_file.with_out path (fun oc ->
          output_string oc "partial";
          failwith "writer exploded")
    with Failure msg -> escaped := msg = "writer exploded");
@@ -277,7 +277,7 @@ let test_writer_atomic_on_raise () =
 
 let test_write_file_roundtrip () =
   let path = Filename.temp_file "hwpat_util" ".txt" in
-  Util.write_file path "hello\n";
+  Hwpat_base.Atomic_file.write path "hello\n";
   let contents = read_back path in
   Sys.remove path;
   check_bool "roundtrip" true (contents = "hello\n")

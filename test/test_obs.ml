@@ -222,6 +222,17 @@ let test_bucketing () =
    each power of two opens the next bucket, so bucket [k >= 1] covers
    exactly [2^(k-1) .. 2^k - 1] until the final clamp. Checked both on
    [bucket_of] directly and end-to-end through [observe]. *)
+(* Histogram [name] read back through the parser and re-rendered
+   compactly, so the checks on its numbers hold whatever the file's
+   layout; [json_valid] stays the independent syntax check. *)
+let histogram json name =
+  let module Json = Hwpat_base.Json in
+  match Json.parse json with
+  | Error e -> Alcotest.fail e
+  | Ok doc ->
+    Option.bind (Json.member "histograms" doc) (Json.member name)
+    |> Option.fold ~none:"absent" ~some:Json.to_string
+
 let test_bucket_boundaries () =
   List.iter
     (fun v ->
@@ -245,9 +256,8 @@ let test_bucket_boundaries () =
   Metrics.observe m "h" 3;
   let json = Metrics.to_json m in
   check_bool "metrics json parses" true (json_valid json);
-  check_bool "count 3" true (contains "\"count\": 3" json);
-  check_bool "sum -2" true (contains "\"sum\": -2" json);
-  check_bool "buckets [2, 0, 1" true (contains "[2, 0, 1" json)
+  check_string "count 3, sum -2, buckets [2, 0, 1]"
+    {|{"count":3,"sum":-2,"buckets":[2,0,1]}|} (histogram json "h")
 
 (* Satellite regression: the SAT solver pre-aggregates its
    learned-clause size histogram and hands it to [add_histogram], so
@@ -296,10 +306,9 @@ let test_histogram_merge () =
   Metrics.add_histogram m "h" ~count:2 ~sum:6 pre;
   let json = Metrics.to_json m in
   check_bool "metrics json parses" true (json_valid json);
-  check_bool "merged count" true (contains "\"count\": 4" json);
-  check_bool "merged sum" true (contains "\"sum\": 109" json);
   (* Bucket 2 holds the direct 3 plus the two merged 3s. *)
-  check_bool "bucket 2 = 3 observations" true (contains "[0, 0, 3" json)
+  check_string "merged count 4, sum 109, bucket 2 = 3 observations"
+    {|{"count":4,"sum":109,"buckets":[0,0,3,0,0,0,0,1]}|} (histogram json "h")
 
 let test_metrics_json_deterministic () =
   let build order =

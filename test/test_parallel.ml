@@ -296,6 +296,9 @@ let test_plan_instances_isolated () =
 
 (* --- Determinism: campaigns and sweeps at jobs:1 vs jobs:4 --------------- *)
 
+(* The compact bytes the daemon would send: what "byte-identical" means. *)
+let summary_json s = Hwpat_base.Json.to_string (Faultsim.summary_to_json s)
+
 let campaign ?checkpoint ?(resume = false) ~jobs () =
   Faultsim.run_campaign ?checkpoint ~resume ~jobs ~seed:5 ~faults:10
     ~frame_width:6 ~frame_height:6
@@ -314,8 +317,8 @@ let test_faultsim_jobs_deterministic () =
   Alcotest.(check (list string)) "classifications" (outcomes a) (outcomes b);
   Alcotest.(check string) "rendered summary" (Faultsim.render a)
     (Faultsim.render b);
-  Alcotest.(check string) "JSON bytes" (Faultsim.summary_to_json a)
-    (Faultsim.summary_to_json b)
+  Alcotest.(check string) "JSON bytes" (summary_json a)
+    (summary_json b)
 
 let sweep_points =
   [
@@ -334,8 +337,8 @@ let test_sweep_jobs_deterministic () =
   let b = Characterize.sweep ~jobs:4 ~points:sweep_points () in
   Alcotest.(check string) "table" (Design_space.to_table a)
     (Design_space.to_table b);
-  Alcotest.(check string) "JSON bytes" (Design_space.to_json a)
-    (Design_space.to_json b);
+  Alcotest.(check string) "JSON bytes" (Hwpat_base.Json.to_string (Design_space.to_json a))
+    (Hwpat_base.Json.to_string (Design_space.to_json b));
   Alcotest.(check bool)
     "all points measured" true
     (List.for_all (fun c -> c.Design_space.measured) a)
@@ -413,7 +416,7 @@ let test_resume_byte_identical () =
       ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
       (fun () -> f path)
   in
-  let reference = Faultsim.summary_to_json (campaign ~jobs:4 ()) in
+  let reference = summary_json (campaign ~jobs:4 ()) in
   with_temp_path @@ fun path ->
   ignore (campaign ~checkpoint:path ~jobs:4 ());
   let lines =
@@ -442,7 +445,7 @@ let test_resume_byte_identical () =
   Alcotest.(check string)
     "resumed summary is byte-identical"
     reference
-    (Faultsim.summary_to_json resumed)
+    (summary_json resumed)
 
 (* --- The ack-guard timeout bugfix ---------------------------------------- *)
 

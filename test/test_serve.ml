@@ -19,7 +19,16 @@ let test_json_roundtrip () =
   | Ok v ->
     check_string "compact deterministic rendering"
       {|{"b":[1,2.5,"x",true,null],"a":{"k":"A"}}|}
-      (Json.to_string v)
+      (Json.to_string v);
+    (* Objects break onto lines; a list breaks unless it is all
+       scalars, and its flat objects (table rows) stay on one line. *)
+    let v =
+      Result.get_ok (Json.parse {|{"rows":[{"x":1,"y":[2]},{"x":3}],"e":[],"o":{}}|})
+    in
+    check_string "indented layout"
+      "{\n  \"rows\": [\n    {\n      \"x\": 1,\n      \"y\": [2]\n    },\n    {\"x\": 3}\n  ],\n  \"e\": [],\n  \"o\": {}\n}\n"
+      (Json.pretty v);
+    check_bool "indented text parses back" true (Json.parse (Json.pretty v) = Ok v)
 
 let test_json_rejects () =
   let bad input =
@@ -50,7 +59,11 @@ let test_json_surrogate_pair () =
 
 let test_json_float_format () =
   check_string "integral float keeps .0" "[1.0,0.5]"
-    (Json.to_string (Json.List [ Json.Float 1.0; Json.Float 0.5 ]))
+    (Json.to_string (Json.List [ Json.Float 1.0; Json.Float 0.5 ]));
+  check_string "rounded to fixed decimals" "[6.0156,94.34,0.0]"
+    (Json.to_string
+       (Json.List
+          [ Json.rounded 4 6.015625; Json.rounded 2 94.339622; Json.rounded 3 0.0004 ]))
 
 (* --- Canon ---------------------------------------------------------------- *)
 
@@ -317,6 +330,26 @@ let test_simulate_plan_cache () =
       {|{"id":1,"method":"simulate","params":{"design":"blur","width":8,"height":8,"cache":false}}|}
   in
   check_string "recomputed on a cached plan: same bytes" r1 fresh
+
+(* Golden response bytes: a campaign summary and sweep candidates keep
+   their members, their order and their rounding (coverage and
+   access/power to 4 decimals, fmax to 2). *)
+let test_golden_response_bytes () =
+  with_server @@ fun server ->
+  with_conn server @@ fun c ->
+  List.iter
+    (fun (label, request, expected) -> check_string label expected (rpc c request))
+    [
+      ( "faultsim",
+        {|{"method":"faultsim","params":{"faults":6,"frame_size":4}}|},
+        {|{"id":null,"result":{"key":"faultsim/saa2vga_sram_pattern/seed=1/faults=6/frame=4","summary":{"design":"saa2vga_sram_pattern","seed":1,"monitors":6,"baseline_cycles":170,"faults":6,"detected":0,"masked":5,"silent":1,"unfinished":0,"coverage":0.0,"results":[{"fault":"@0 seu mem wbuffer_sram_array[169] bit 0","outcome":"masked","detail":null,"err_flag":false,"completed":true,"cycles":170},{"fault":"@11 stuck wbuffer_sram_state = 00 for 17 cycles","outcome":"masked","detail":null,"err_flag":false,"completed":true,"cycles":190},{"fault":"@47 seu reg rbuffer_sram_state bit 1","outcome":"masked","detail":null,"err_flag":false,"completed":true,"cycles":172},{"fault":"@30 seu mem rbuffer_sram_array[117] bit 6","outcome":"masked","detail":null,"err_flag":false,"completed":true,"cycles":170},{"fault":"@136 stuck rbuffer_begin = 000000000 for 6 cycles","outcome":"silent","detail":null,"err_flag":false,"completed":true,"cycles":170},{"fault":"@28 seu reg rbuffer_sram_rd_data bit 7","outcome":"masked","detail":null,"err_flag":false,"completed":true,"cycles":170}]},"coverage":0.0,"silent":1,"unfinished":0}}|} );
+      ( "faultsim, coverage rounded",
+        {|{"method":"faultsim","params":{"design":"saa2vga_sram_protected","faults":11,"frame_size":4}}|},
+        {|{"id":null,"result":{"key":"faultsim/saa2vga_sram_protected/seed=1/faults=11/frame=4","summary":{"design":"saa2vga_sram_protected","seed":1,"monitors":6,"baseline_cycles":170,"faults":11,"detected":4,"masked":5,"silent":2,"unfinished":0,"coverage":0.6667,"results":[{"fault":"@0 seu mem out_sram_array[169] bit 4","outcome":"masked","detail":null,"err_flag":false,"completed":true,"cycles":170},{"fault":"@11 stuck copy_state = 00 for 17 cycles","outcome":"silent","detail":null,"err_flag":false,"completed":false,"cycles":744},{"fault":"@47 seu reg in_sram_par_err bit 0","outcome":"detected","detail":null,"err_flag":true,"completed":true,"cycles":170},{"fault":"@30 seu mem in_sram_array[117] bit 6","outcome":"masked","detail":null,"err_flag":false,"completed":true,"cycles":170},{"fault":"@136 stuck out_sram_waits = 0 for 6 cycles","outcome":"masked","detail":null,"err_flag":false,"completed":true,"cycles":175},{"fault":"@28 seu reg out_sram_wd_cnt bit 5","outcome":"masked","detail":null,"err_flag":false,"completed":true,"cycles":170},{"fault":"@65 seu mem in_sram_array[107] bit 7","outcome":"masked","detail":null,"err_flag":false,"completed":true,"cycles":170},{"fault":"@145 seu reg degraded bit 0","outcome":"detected","detail":null,"err_flag":true,"completed":true,"cycles":170},{"fault":"@86 seu reg wbuffer_state bit 1","outcome":"silent","detail":null,"err_flag":false,"completed":false,"cycles":744},{"fault":"@3 seu reg out_sram_par_err bit 0","outcome":"detected","detail":null,"err_flag":true,"completed":true,"cycles":170},{"fault":"@155 seu reg out_sram_state bit 1","outcome":"detected","detail":"cycle 155: [out_sram] ack: ack asserted with no request pending","err_flag":false,"completed":true,"cycles":170}]},"coverage":0.666666666667,"silent":2,"unfinished":0}}|} );
+      ( "one-point sweep",
+        {|{"method":"sweep","params":{"points":[{"container":"queue","target":"sram","width":8,"depth":16,"wait_states":1}]}}|},
+        {|{"id":null,"result":{"key":"sweep/queue/sram/8x16/ws1","points":1,"unmeasurable":0,"candidates":[{"label":"queue/sram/8x16/ws1","container":"queue","target":"sram","elem_width":8,"depth":16,"luts":90,"ffs":26,"brams":0,"measured":true,"access_cycles":6.0156,"fmax_mhz":94.34,"power_mw":35.625}]}}|} );
+    ]
 
 (* Tiny LRU: evicting circuits must never change what a later request
    for the evicted key answers. *)
@@ -622,5 +655,7 @@ let () =
             test_dead_client_harmless;
           Alcotest.test_case "non-socket path not clobbered" `Quick
             test_socket_path_not_clobbered;
+          Alcotest.test_case "faultsim and sweep bytes pinned" `Quick
+            test_golden_response_bytes;
         ] );
     ]
