@@ -341,11 +341,8 @@ let run_campaign ?(trace = Hwpat_obs.Trace.null)
       in
       let source = Video_source.Batch.create batch frame in
       let sink = Vga_sink.Batch.create batch () in
-      let err_node =
-        if has_output circuit "err" then
-          Some
-            ( Simbatch.out_node batch "err",
-              Signal.width (Circuit.find_output circuit "err") )
+      let err_signal =
+        if has_output circuit "err" then Some (Circuit.find_output circuit "err")
         else None
       in
       let cycles = Array.make nb 0 in
@@ -356,44 +353,68 @@ let run_campaign ?(trace = Hwpat_obs.Trace.null)
       in
       let n_active = ref nb in
       let gcycle = ref 0 in
+      (* Quiescence: [quiet.(l)] counts the consecutive cycles in which
+         lane [l]'s state, inputs and forces stood still, its source
+         did not advance, its sink captured nothing and its injector
+         had nothing left to do. *)
+      let quiet = Array.make nb 0 in
+      let sent = Array.make nb 0 and captured = Array.make nb 0 in
+      let retired = ref 0 in
+      let stop l ~cycles:c =
+        cycles.(l) <- c;
+        active.(l) <- false;
+        active_mask :=
+          Int64.logand !active_mask (Int64.lognot (Int64.shift_left 1L l));
+        decr n_active;
+        err.(l) <-
+          (match err_signal with
+          | Some s -> Bits.to_bool (Simbatch.peek batch ~lane:l s)
+          | None -> false)
+      in
       while !n_active > 0 do
         Supervise.check ctx;
         Video_source.Batch.drive source ~mask:!active_mask;
         Vga_sink.Batch.drive sink ~mask:!active_mask;
         for l = 0 to nb - 1 do
-          if active.(l) then Fault.step injectors.(l)
+          if active.(l) && not (Fault.idle injectors.(l)) then
+            Fault.step injectors.(l)
         done;
         Simbatch.cycle batch;
         Monitor.Batch.sample bmon ~active:!active_mask ~cycle:!gcycle;
         Video_source.Batch.observe source ~mask:!active_mask;
         Vga_sink.Batch.observe sink ~mask:!active_mask;
         incr gcycle;
+        let changed = Simbatch.changed_lanes batch in
         for l = 0 to nb - 1 do
           if active.(l) then begin
             cycles.(l) <- cycles.(l) + 1;
+            let count = Vga_sink.Batch.count sink ~lane:l in
+            let s = Video_source.Batch.sent source ~lane:l in
             if
-              not (Vga_sink.Batch.count sink ~lane:l < expected
-                  && cycles.(l) < budget)
-            then begin
-              active.(l) <- false;
-              active_mask :=
-                Int64.logand !active_mask
-                  (Int64.lognot (Int64.shift_left 1L l));
-              decr n_active;
-              err.(l) <-
-                (match err_node with
-                | Some (i, w) ->
-                  let any = ref 0L in
-                  for b = 0 to w - 1 do
-                    any :=
-                      Int64.logor !any (Simbatch.read_plane batch i ~plane:b)
-                  done;
-                  Int64.logand (Int64.shift_right_logical !any l) 1L = 1L
-                | None -> false)
+              Int64.logand (Int64.shift_right_logical changed l) 1L = 0L
+              && s = sent.(l) && count = captured.(l)
+              && Fault.idle injectors.(l)
+            then quiet.(l) <- quiet.(l) + 1
+            else quiet.(l) <- 0;
+            sent.(l) <- s;
+            captured.(l) <- count;
+            if not (count < expected && cycles.(l) < budget) then
+              stop l ~cycles:cycles.(l)
+            else if quiet.(l) >= 2 then begin
+              (* A fixed point (see DESIGN.md §15): every later cycle
+                 would repeat this one, so the lane would run to the
+                 budget with the pixels, violations and err it holds
+                 now. *)
+              incr retired;
+              stop l ~cycles:budget
             end
           end
         done
       done;
+      Hwpat_obs.Metrics.incr metrics ~by:!retired "faultsim.retired_quiescent";
+      Hwpat_obs.Metrics.incr metrics ~by:!gcycle "faultsim.batch_cycles";
+      Trace.annotate trace "retired_quiescent" (Trace.Int !retired);
+      Trace.annotate trace "batch_cycles" (Trace.Int !gcycle);
       Array.init nb (fun l ->
           let k = faults.(l) in
           let r =
@@ -414,7 +435,12 @@ let run_campaign ?(trace = Hwpat_obs.Trace.null)
           let faults = batches.(bi) in
           Printf.sprintf "batch:%d-%d" faults.(0)
             faults.(Array.length faults - 1))
-        ~local:(fun () -> Cyclesim.instantiate_batched ~lanes plan)
+        ~local:(fun () ->
+          (* Sized to the largest batch: per-lane loops run over the
+             instance's lanes, not just the batch's. *)
+          Cyclesim.instantiate_batched
+            ~lanes:(max 1 (min lanes (List.length pending)))
+            plan)
         (Array.length batches) run_batch
     in
     Array.iteri

@@ -36,6 +36,9 @@ type result = {
   err_flag : bool;  (** the design's [err] output, if it has one *)
   completed : bool;  (** collected every expected pixel in budget *)
   cycles : int;
+      (** cycles run; for a hang, the budget ([4 * baseline_cycles +
+          64]) — whether the hang was simulated to the end or, on the
+          batched engine, retired at a fixed point it could not leave *)
 }
 
 type summary = {
@@ -128,8 +131,16 @@ val run_campaign :
     with [checkpoint]/[resume] (faults journal individually under the
     same keys, so scalar and batched journals interoperate — the
     campaign configuration string does not include the engine or lane
-    count). Requires the compiled engine (the default); raises
-    [Invalid_argument] combined with [engine = Reference]. *)
+    count). A batched lane that reaches a fixed point — two cycles
+    with no state, input or force moving, no pixel sent or captured
+    and no fault left to inject or release — is retired with exactly
+    the result a run to the budget would give (DESIGN.md §15); the
+    scalar engine always runs to the budget and is the oracle for
+    this. [metrics] counts [faultsim.retired_quiescent] and
+    [faultsim.batch_cycles] (cycles the batches simulated), and each
+    [batch#] trace span carries both. Requires the compiled engine
+    (the default); raises [Invalid_argument] combined with
+    [engine = Reference]. *)
 
 val designs : (string * (unit -> Circuit.t)) list
 (** Named builds for the CLI and benchmark harness: the Table 3

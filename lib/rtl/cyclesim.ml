@@ -436,6 +436,14 @@ let peek t s =
   | Comp c -> Simcompile.peek c s
   | Lane (b, lane) -> Simbatch.peek b ~lane s
 
+let reader t s =
+  match t with
+  | Naive n ->
+    let ns = Naive.node n s in
+    fun dst -> Bits.blit ~src:!(ns.Naive.value) ~dst
+  | Comp c -> Simcompile.reader c s
+  | Lane (b, lane) -> Simbatch.reader b ~lane s
+
 let memory_contents t m =
   match t with
   | Naive n -> Naive.memory_contents n m

@@ -147,6 +147,13 @@ val peek : t -> Signal.t -> Bits.t
 (** Current settled value of any signal in the circuit (for debugging
     and waveform dumps). Raises if the signal is not in the circuit. *)
 
+val reader : t -> Signal.t -> Bits.t -> unit
+(** [reader t s] resolves [s] once and returns a function that copies
+    its current settled value — what {!peek} would return — into a
+    buffer of the signal's width. For harnesses that read the same
+    signals every cycle: on the compiled engine the returned function
+    allocates nothing. Raises if the signal is not in the circuit. *)
+
 val memory_contents : t -> Signal.memory -> Bits.t array
 (** Live view of a memory's backing store. Elements may be replaced
     (fault injection does); the compiled engine conservatively assumes

@@ -120,6 +120,7 @@ let step t =
 
 let applied t = List.rev t.applied
 let pending t = t.pending
+let idle t = t.pending = [] && t.releases = []
 
 (* --- Campaign generation ------------------------------------------------ *)
 

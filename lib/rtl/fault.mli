@@ -54,6 +54,10 @@ val applied : t -> event list
 
 val pending : t -> event list
 
+val idle : t -> bool
+(** Nothing left to do: no injection pending and no [Stuck_at] release
+    scheduled, so every later {!step} leaves the simulator alone. *)
+
 val random_fault : Random.State.t -> Circuit.t -> fault
 (** One random fault drawn over the circuit's registers and memories.
     Raises if the circuit holds no state at all. *)

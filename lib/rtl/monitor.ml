@@ -5,28 +5,31 @@ type violation = { cycle : int; monitor : string; signal : string; message : str
 let pp_violation fmt v =
   Format.fprintf fmt "cycle %d: [%s] %s: %s" v.cycle v.monitor v.signal v.message
 
-type tracked = { signal : Signal.t; label : string }
+(* A watched signal.  Its value is read, once per sample, into the
+   ring slot of that tick ([window] slots, tick [c] at [c mod window]),
+   and [now] points at the slot just written: the checks read [now], and
+   {!vcd_window} reads the ring.  Sampling therefore allocates nothing. *)
+type tracked = {
+  signal : Signal.t;
+  label : string;
+  read : Bits.t -> unit;
+  ring : Bits.t array;
+  mutable now : Bits.t;
+  since : int; (* first tick sampled *)
+}
 
 type t = {
   sim : Cyclesim.t;
   window : int;
   mutable tracked : tracked list; (* reverse attach order *)
-  mutable checks : (int -> unit) list;
+  mutable checks : (int -> unit) list; (* attach order *)
   mutable violations : violation list; (* newest first *)
-  mutable history : (int * (int * Bits.t) list) list; (* newest first *)
   mutable ticks : int;
 }
 
 let create ?(window = 48) sim =
-  {
-    sim;
-    window;
-    tracked = [];
-    checks = [];
-    violations = [];
-    history = [];
-    ticks = 0;
-  }
+  if window < 0 then invalid_arg "Monitor.create: negative window";
+  { sim; window; tracked = []; checks = []; violations = []; ticks = 0 }
 
 let violate t cycle monitor signal message =
   t.violations <- { cycle; monitor; signal; message } :: t.violations
@@ -37,12 +40,22 @@ let ok t = t.violations = []
 let first_violation t =
   match List.rev t.violations with v :: _ -> Some v | [] -> None
 
+(* The tracked record of [s], watching it under [label] unless it
+   already is. *)
 let watch t label s =
-  if not (List.exists (fun tr -> Signal.uid tr.signal = Signal.uid s) t.tracked)
-  then t.tracked <- { signal = s; label } :: t.tracked
+  match List.find_opt (fun tr -> Signal.uid tr.signal = Signal.uid s) t.tracked with
+  | Some tr -> tr
+  | None ->
+    let ring = Array.init (max 1 t.window) (fun _ -> Bits.zero (Signal.width s)) in
+    let tr =
+      { signal = s; label; read = Cyclesim.reader t.sim s; ring; now = ring.(0);
+        since = t.ticks }
+    in
+    t.tracked <- tr :: t.tracked;
+    tr
 
-let peek t s = Cyclesim.peek t.sim s
-let peek_bool t s = Bits.to_bool (peek t s)
+let add_check t check = t.checks <- t.checks @ [ check ]
+let value_bool tr = Bits.to_bool tr.now
 
 (* --- Checkers ----------------------------------------------------------- *)
 
@@ -50,29 +63,36 @@ let peek_bool t s = Bits.to_bool (peek t s)
    holds [req] high, with any payload stable, until the cycle where
    [ack] is high; [ack] never fires without a request pending. *)
 let add_handshake t ~name ?payload ~req ~ack () =
-  watch t (name ^ "_req") req;
-  watch t (name ^ "_ack") ack;
-  Option.iter (fun p -> watch t (name ^ "_payload") p) payload;
+  let req = watch t (name ^ "_req") req in
+  let ack = watch t (name ^ "_ack") ack in
+  let payload =
+    Option.map
+      (fun p ->
+        (watch t (name ^ "_payload") p, Bits.zero (Signal.width p)))
+      payload
+  in
   let prev_req = ref false and prev_ack = ref false in
-  let prev_payload = ref None in
   let check cycle =
-    let r = peek_bool t req and a = peek_bool t ack in
-    let p = Option.map (peek t) payload in
+    let r = value_bool req and a = value_bool ack in
     if a && not r then
       violate t cycle name "ack" "ack asserted with no request pending";
+    (* [prev_req] is false on the first sample, so the payload rule
+       never compares against the zeroed [before] buffer. *)
     if !prev_req && not !prev_ack then begin
       if not r then
         violate t cycle name "req" "request dropped before acknowledge";
-      match (p, !prev_payload) with
-      | Some now, Some before when r && not (Bits.equal now before) ->
+      match payload with
+      | Some (p, before) when r && not (Bits.equal p.now before) ->
         violate t cycle name "payload" "payload changed while request pending"
       | _ -> ()
     end;
     prev_req := r;
     prev_ack := a;
-    prev_payload := p
+    match payload with
+    | Some (p, before) -> Bits.blit ~src:p.now ~dst:before
+    | None -> ()
   in
-  t.checks <- check :: t.checks
+  add_check t check
 
 (* Iterator-op sequencing: each operation obeys the handshake rule and
    operations declared mutually exclusive never fire together. *)
@@ -82,32 +102,32 @@ let add_iterator t ~name ?(mutex = []) ~ops () =
     ops;
   List.iter
     (fun (label, a, b) ->
-      watch t (name ^ "." ^ label ^ "_a") a;
-      watch t (name ^ "." ^ label ^ "_b") b;
+      let a = watch t (name ^ "." ^ label ^ "_a") a in
+      let b = watch t (name ^ "." ^ label ^ "_b") b in
       let check cycle =
-        if peek_bool t a && peek_bool t b then
+        if value_bool a && value_bool b then
           violate t cycle name label "mutually exclusive operations both asserted"
       in
-      t.checks <- check :: t.checks)
+      add_check t check)
     mutex
 
 (* FIFO/queue occupancy invariants: the count tracks the empty flag,
    never steps by more than one element per cycle, never exceeds the
    capacity (when known), and full/empty never hold together. *)
 let add_fifo t ~name ?depth ?full ~count ~empty () =
-  watch t (name ^ "_count") count;
-  watch t (name ^ "_empty") empty;
-  Option.iter (fun f -> watch t (name ^ "_full") f) full;
-  let prev_count = ref None in
+  let count = watch t (name ^ "_count") count in
+  let empty = watch t (name ^ "_empty") empty in
+  let full = Option.map (fun f -> watch t (name ^ "_full") f) full in
+  let prev_count = ref 0 and has_prev = ref false in
   let check cycle =
-    let c = Bits.to_int (peek t count) in
-    let e = peek_bool t empty in
+    let c = Bits.to_int count.now in
+    let e = value_bool empty in
     if e <> (c = 0) then
       violate t cycle name "empty"
         (Printf.sprintf "empty flag %b inconsistent with count %d" e c);
     (match full with
     | Some f ->
-      if peek_bool t f && e then
+      if value_bool f && e then
         violate t cycle name "full" "full and empty asserted together"
     | None -> ());
     (match depth with
@@ -116,15 +136,13 @@ let add_fifo t ~name ?depth ?full ~count ~empty () =
         violate t cycle name "count"
           (Printf.sprintf "occupancy %d exceeds capacity %d (overflow)" c d)
     | None -> ());
-    (match !prev_count with
-    | Some p ->
-      if abs (c - p) > 1 then
-        violate t cycle name "count"
-          (Printf.sprintf "occupancy stepped %d -> %d in one cycle" p c)
-    | None -> ());
-    prev_count := Some c
+    if !has_prev && abs (c - !prev_count) > 1 then
+      violate t cycle name "count"
+        (Printf.sprintf "occupancy stepped %d -> %d in one cycle" !prev_count c);
+    prev_count := c;
+    has_prev := true
   in
-  t.checks <- check :: t.checks
+  add_check t check
 
 (* --- Automatic attachment by naming convention -------------------------- *)
 
@@ -192,23 +210,28 @@ let add_auto t =
 
 (* --- Sampling ----------------------------------------------------------- *)
 
-(* Call once per simulation step, after [Cyclesim.cycle]: runs every
-   attached check against the settled values of the cycle that just
-   completed and records watched signals in the history ring. *)
+let rec read_all slot = function
+  | [] -> ()
+  | tr :: rest ->
+    let b = tr.ring.(slot) in
+    tr.read b;
+    tr.now <- b;
+    read_all slot rest
+
+let rec run_checks cycle = function
+  | [] -> ()
+  | check :: rest ->
+    check cycle;
+    run_checks cycle rest
+
+(* Call once per simulation step, after [Cyclesim.cycle]: records the
+   watched signals' settled values of the cycle that just completed in
+   the history ring, then runs every attached check against them. *)
 let sample t =
   let cycle = t.ticks in
-  List.iter (fun check -> check cycle) (List.rev t.checks);
-  let snapshot =
-    List.rev_map (fun tr -> (Signal.uid tr.signal, peek t tr.signal)) t.tracked
-  in
-  t.history <- (cycle, snapshot) :: t.history;
-  let rec trim n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: trim (n - 1) rest
-  in
-  t.history <- trim t.window t.history;
-  t.ticks <- t.ticks + 1
+  read_all (if t.window = 0 then 0 else cycle mod t.window) t.tracked;
+  run_checks cycle t.checks;
+  t.ticks <- cycle + 1
 
 let ticks t = t.ticks
 
@@ -229,30 +252,29 @@ let vcd_value b =
 
 (* Render the retained window of watched signals as VCD text, typically
    written to a file after a violation so the offending cycles can be
-   inspected in a waveform viewer. *)
+   inspected in a waveform viewer.  A signal appears from the first
+   sample after it was watched. *)
 let vcd_window t =
   let buf = Buffer.create 1024 in
-  let tracked = List.rev t.tracked in
-  let ids = List.mapi (fun i tr -> (Signal.uid tr.signal, (vcd_id i, tr))) tracked in
+  let ids = List.mapi (fun i tr -> (vcd_id i, tr)) (List.rev t.tracked) in
   Buffer.add_string buf "$timescale 1 ns $end\n";
   Buffer.add_string buf "$scope module monitor $end\n";
   List.iter
-    (fun (_, (id, tr)) ->
+    (fun (id, tr) ->
       Buffer.add_string buf
         (Printf.sprintf "$var wire %d %s %s $end\n" (Signal.width tr.signal) id
            tr.label))
     ids;
   Buffer.add_string buf "$upscope $end\n$enddefinitions $end\n";
-  List.iter
-    (fun (cycle, snapshot) ->
-      Buffer.add_string buf (Printf.sprintf "#%d\n" cycle);
-      List.iter
-        (fun (uid, (id, _)) ->
-          match List.assoc_opt uid snapshot with
-          | Some b -> Buffer.add_string buf (vcd_value b ^ id ^ "\n")
-          | None -> ())
-        ids)
-    (List.rev t.history);
+  for cycle = max 0 (t.ticks - t.window) to t.ticks - 1 do
+    Buffer.add_string buf (Printf.sprintf "#%d\n" cycle);
+    List.iter
+      (fun (id, tr) ->
+        if tr.since <= cycle then
+          Buffer.add_string buf
+            (vcd_value tr.ring.(cycle mod t.window) ^ id ^ "\n"))
+      ids
+  done;
   Buffer.contents buf
 
 (* --- Batched monitors ----------------------------------------------------- *)
@@ -288,6 +310,20 @@ module Batch = struct
   let violate t lane cycle monitor signal message =
     t.violations.(lane) <- { cycle; monitor; signal; message } :: t.violations.(lane)
 
+  (* Planes and the checkers' own plane-wide state live in bytes, read
+     and written through the compiler's primitives: an int64 that
+     crossed a call or sat in a ref or array would be boxed, once per
+     plane per cycle.  [word d k] is the [k]-th word of a scratch
+     buffer; [plane d p] is plane [p] of a published value (see
+     {!Simbatch.published_data}). *)
+  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+  external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+  let[@inline] word d k = get64 d (k lsl 3)
+  let[@inline] set_word d k v = set64 d (k lsl 3) v
+  let[@inline] plane d p = get64 d ((p + 1) lsl 3)
+  let words n = Bytes.make (8 * n) '\000'
+
   (* Callers test [m] first: the closure a call builds is then only
      allocated on a cycle that has a violation. *)
   let iter_lanes m f =
@@ -297,55 +333,54 @@ module Batch = struct
 
   (* Lane-wise truthiness: the OR of the signal's planes — the batched
      [peek_bool]. *)
-  let or_planes t i w =
+  let[@inline] or_planes d w =
     let acc = ref 0L in
     for b = 0 to w - 1 do
-      acc := Int64.logor !acc (Simbatch.read_plane t.sb i ~plane:b)
+      acc := Int64.logor !acc (plane d b)
     done;
     !acc
 
-  (* Per-lane small-integer readback, for violation message text only. *)
-  let lane_int planes n l =
+  (* Per-lane small-integer readback of [n] scratch words, for
+     violation message text only. *)
+  let lane_int d n l =
     let v = ref 0 in
     for b = 0 to n - 1 do
-      if Int64.logand (Int64.shift_right_logical planes.(b) l) 1L = 1L then
+      if Int64.logand (Int64.shift_right_logical (word d b) l) 1L = 1L then
         v := !v lor (1 lsl b)
     done;
     !v
 
+  let node t s = Simbatch.published_data t.sb (Simbatch.node_index t.sb s)
+
   let add_handshake t ~name ?payload ~req ~ack () =
-    let ri = Simbatch.node_index t.sb req and rw = Signal.width req in
-    let ai = Simbatch.node_index t.sb ack and aw = Signal.width ack in
+    let rd = node t req and rw = Signal.width req in
+    let ad = node t ack and aw = Signal.width ack in
     let pay =
       Option.map
-        (fun p ->
-          ( Simbatch.node_index t.sb p,
-            Signal.width p,
-            Array.make (Signal.width p) 0L ))
+        (fun p -> (node t p, Signal.width p, words (Signal.width p)))
         payload
     in
-    let prev_req = ref 0L and prev_ack = ref 0L in
+    (* Words 0 and 1: the previous cycle's req and ack planes. *)
+    let prev = words 2 in
     let check ~active ~cycle =
-      let r = or_planes t ri rw and a = or_planes t ai aw in
+      let r = or_planes rd rw and a = or_planes ad aw in
       let m = Int64.logand (Int64.logand a (Int64.lognot r)) active in
       if m <> 0L then
         iter_lanes m (fun l ->
             violate t l cycle name "ack" "ack asserted with no request pending");
-      let pend = Int64.logand !prev_req (Int64.lognot !prev_ack) in
+      let pend = Int64.logand (word prev 0) (Int64.lognot (word prev 1)) in
       let m = Int64.logand (Int64.logand pend (Int64.lognot r)) active in
       if m <> 0L then
         iter_lanes m (fun l ->
             violate t l cycle name "req" "request dropped before acknowledge");
       (match pay with
-      | Some (pi, pw, prev) ->
+      | Some (pd, pw, before) ->
         (* First sample can never fire the rule (pend is empty until a
            request has been seen), matching the scalar checker's
-           [prev_payload = None] guard. *)
+           first-sample guard. *)
         let diff = ref 0L in
         for b = 0 to pw - 1 do
-          diff :=
-            Int64.logor !diff
-              (Int64.logxor (Simbatch.read_plane t.sb pi ~plane:b) prev.(b))
+          diff := Int64.logor !diff (Int64.logxor (plane pd b) (word before b))
         done;
         let m =
           Int64.logand (Int64.logand (Int64.logand pend r) !diff) active
@@ -355,37 +390,32 @@ module Batch = struct
               violate t l cycle name "payload"
                 "payload changed while request pending");
         for b = 0 to pw - 1 do
-          prev.(b) <- Simbatch.read_plane t.sb pi ~plane:b
+          set_word before b (plane pd b)
         done
       | None -> ());
-      prev_req := r;
-      prev_ack := a
+      set_word prev 0 r;
+      set_word prev 1 a
     in
     t.checks <- t.checks @ [ check ]
 
   let add_fifo t ~name ?depth ?full ~count ~empty () =
-    let ci = Simbatch.node_index t.sb count and cw = Signal.width count in
-    let ei = Simbatch.node_index t.sb empty and ew = Signal.width empty in
-    let ful =
-      Option.map (fun f -> (Simbatch.node_index t.sb f, Signal.width f)) full
-    in
-    let c_planes = Array.make cw 0L in
+    let cd = node t count and cw = Signal.width count in
+    let ed = node t empty and ew = Signal.width empty in
+    let ful = Option.map (fun f -> (node t f, Signal.width f)) full in
+    let c_planes = words cw in
     (* The step rule subtracts over [cw + 1] planes (both operands
        zero-extended), so a full-range jump like 0 -> 2^cw - 1 can
        never alias the difference -1. *)
-    let prev = Array.make (cw + 1) 0L in
-    let dd = Array.make (cw + 1) 0L in
-    let has_prev = ref 0L in
+    let prev = words (cw + 1) in
+    let dd = words (cw + 1) in
+    let has_prev = words 1 in
     let check ~active ~cycle =
       for b = 0 to cw - 1 do
-        c_planes.(b) <- Simbatch.read_plane t.sb ci ~plane:b
+        set_word c_planes b (plane cd b)
       done;
-      let nonzero = ref 0L in
-      for b = 0 to cw - 1 do
-        nonzero := Int64.logor !nonzero c_planes.(b)
-      done;
-      let e = or_planes t ei ew in
-      let m = Int64.logand (Int64.logxor e (Int64.lognot !nonzero)) active in
+      let nonzero = or_planes cd cw in
+      let e = or_planes ed ew in
+      let m = Int64.logand (Int64.logxor e (Int64.lognot nonzero)) active in
       if m <> 0L then
         iter_lanes m (fun l ->
             let eb = Int64.logand (Int64.shift_right_logical e l) 1L = 1L in
@@ -393,8 +423,8 @@ module Batch = struct
               (Printf.sprintf "empty flag %b inconsistent with count %d" eb
                  (lane_int c_planes cw l)));
       (match ful with
-      | Some (fi, fw) ->
-        let fm = or_planes t fi fw in
+      | Some (fd, fw) ->
+        let fm = or_planes fd fw in
         let m = Int64.logand (Int64.logand fm e) active in
         if m <> 0L then
           iter_lanes m (fun l ->
@@ -410,7 +440,7 @@ module Batch = struct
         in
         let gt = ref 0L in
         for b = 0 to np - 1 do
-          let cp = if b < cw then c_planes.(b) else 0L in
+          let cp = if b < cw then word c_planes b else 0L in
           let dp = if b < 62 && (d lsr b) land 1 = 1 then -1L else 0L in
           gt :=
             Int64.logor
@@ -428,23 +458,24 @@ module Batch = struct
          must be 0, 1 or -1 (all-ones). *)
       let carry = ref (-1L) in
       for b = 0 to cw do
-        let x = if b < cw then c_planes.(b) else 0L in
-        let y = Int64.lognot prev.(b) in
+        let x = if b < cw then word c_planes b else 0L in
+        let y = Int64.lognot (word prev b) in
         let axy = Int64.logxor x y in
-        dd.(b) <- Int64.logxor axy !carry;
+        set_word dd b (Int64.logxor axy !carry);
         carry := Int64.logor (Int64.logand x y) (Int64.logand !carry axy)
       done;
       let eq0 = ref (-1L) and eq1 = ref (-1L) and eqm1 = ref (-1L) in
       for b = 0 to cw do
-        eq0 := Int64.logand !eq0 (Int64.lognot dd.(b));
-        eq1 := Int64.logand !eq1 (if b = 0 then dd.(b) else Int64.lognot dd.(b));
-        eqm1 := Int64.logand !eqm1 dd.(b)
+        let v = word dd b in
+        eq0 := Int64.logand !eq0 (Int64.lognot v);
+        eq1 := Int64.logand !eq1 (if b = 0 then v else Int64.lognot v);
+        eqm1 := Int64.logand !eqm1 v
       done;
       let m =
         Int64.logand
           (Int64.logand
              (Int64.lognot (Int64.logor !eq0 (Int64.logor !eq1 !eqm1)))
-             !has_prev)
+             (word has_prev 0))
           active
       in
       if m <> 0L then
@@ -453,9 +484,9 @@ module Batch = struct
               (Printf.sprintf "occupancy stepped %d -> %d in one cycle"
                  (lane_int prev cw l) (lane_int c_planes cw l)));
       for b = 0 to cw - 1 do
-        prev.(b) <- c_planes.(b)
+        set_word prev b (word c_planes b)
       done;
-      has_prev := Int64.logor !has_prev active
+      set_word has_prev 0 (Int64.logor (word has_prev 0) active)
     in
     t.checks <- t.checks @ [ check ]
 
@@ -470,9 +501,14 @@ module Batch = struct
       fifos;
     List.length handshakes + List.length fifos
 
+  let rec run_checks ~active ~cycle = function
+    | [] -> ()
+    | check :: rest ->
+      check ~active ~cycle;
+      run_checks ~active ~cycle rest
+
   (* Call once per batch cycle, after [Simbatch.cycle], with the mask
      of still-active lanes: checks run for exactly the lanes a scalar
      campaign would still be sampling. *)
-  let sample t ~active ~cycle =
-    List.iter (fun check -> check ~active ~cycle) t.checks
+  let sample t ~active ~cycle = run_checks ~active ~cycle t.checks
 end

@@ -34,7 +34,7 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val create : ?window:int -> Cyclesim.t -> t
 (** [window] bounds how many cycles of watched-signal history are
-    retained for {!vcd_window} (default 48). *)
+    retained for {!vcd_window} (default 48; must not be negative). *)
 
 val add_handshake :
   t -> name:string -> ?payload:Signal.t -> req:Signal.t -> ack:Signal.t -> unit -> unit

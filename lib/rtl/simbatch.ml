@@ -81,20 +81,25 @@ let broadcast scalar =
   r
 
 (* Overwrite lane [lane] of [dst] with a scalar value (all [w] bits of
-   the lane are written, set or cleared). *)
+   the lane are written, set or cleared); whether any plane moved. *)
 let pack_lane ~dst ~lane scalar =
   let m = Int64.shift_left 1L lane in
   let nm = Int64.lognot m in
   let dd = Bits.unsafe_data dst in
   let sd = Bits.unsafe_data scalar in
+  let moved = ref false in
   for b = 0 to Bits.width scalar - 1 do
     let v =
       Int64.logand (Int64.shift_right_logical (pget sd (b lsr 6)) (b land 63)) 1L
     in
     let p = pget dd b in
     let p' = if v = 1L then Int64.logor p m else Int64.logand p nm in
-    if p' <> p then pset dd b p'
-  done
+    if p' <> p then begin
+      pset dd b p';
+      moved := true
+    end
+  done;
+  !moved
 
 (* Lane [lane] of a batched value into the scalar [dst], all of whose
    bits are written (so it stays normalized). *)
@@ -131,7 +136,7 @@ let lane_index ad ~lane ~bound =
 
 (* Per-lane truthiness mask: bit [l] set iff lane [l] has any bit set —
    the batched analogue of [Bits.to_bool], used for enables/clears. *)
-let lane_or batched =
+let[@inline] lane_or batched =
   let d = Bits.unsafe_data batched in
   let acc = ref 0L in
   for b = 0 to planes d - 1 do
@@ -185,7 +190,7 @@ type t = {
   mutable out_refs_used : bool;
       (* Whether [out_port] has ever handed out a per-lane ref.  Until
          it has, settles skip the per-lane output extraction entirely —
-         plane-level harnesses read outputs through {!read_plane} and
+         plane-level harnesses read outputs through {!published_data} and
          never pay for refs nobody holds.  The flag is sticky: once a
          ref escapes, every settle refreshes it (callers may hold refs
          across cycles, like the scalar engine's). *)
@@ -206,7 +211,35 @@ type t = {
       (* Per-node "state was mutated behind the engine's back" flag
          ([poke_state], [reset]): invalidates the edge kernels'
          generation memo so the next edge recomputes from scratch. *)
+  moved : Bytes.t;
+      (* One 64-lane word: the lanes whose register or sync-read state,
+         memory words, driven input planes or forces moved since the
+         last [cycle] ended.  Kept in bytes so that the per-commit
+         update stores an unboxed word. *)
+  changed : Bytes.t; (* [moved] as it stood when the last [cycle] ended *)
 }
+
+(* Record that the lanes in [m] moved. *)
+let[@inline] note_moved t m =
+  set64 t.moved 0 (Int64.logor (get64 t.moved 0) m)
+
+(* A clock-edge commit: copy every plane of [src] into [dst], noting
+   the lanes whose value moved; whether any did. *)
+let commit_planes t ~src ~dst =
+  let moved = ref 0L in
+  for p = 0 to planes dst - 1 do
+    let v = pget src p in
+    let d = Int64.logxor v (pget dst p) in
+    if d <> 0L then begin
+      pset dst p v;
+      moved := Int64.logor !moved d
+    end
+  done;
+  if !moved <> 0L then begin
+    note_moved t !moved;
+    true
+  end
+  else false
 
 let mark t j =
   if not t.dirty.(j) then begin
@@ -324,6 +357,8 @@ let instantiate ?(lanes = lane_bits) plan =
       kinds = Simcompile.plan_kinds plan;
       kind_evals = Array.make Signal.n_prim_kinds 0;
       poked = Array.make n true;
+      moved = Bytes.make 8 '\255';
+      changed = Bytes.make 8 '\255';
     }
   in
   Array.iteri
@@ -426,7 +461,7 @@ let instantiate ?(lanes = lane_bits) plan =
                 extract_lane_into ~dst:av a ~lane:l;
                 extract_lane_into ~dst:bv b ~lane:l;
                 Bits.mul_into ~dst:pv av bv;
-                pack_lane ~dst:scratch ~lane:l pv
+                ignore (pack_lane ~dst:scratch ~lane:l pv)
               done;
               publish t i scratch)
         | Simcompile.O_not a ->
@@ -605,7 +640,7 @@ let instantiate ?(lanes = lane_bits) plan =
         let commit () =
           if !ran then begin
             ran := false;
-            if Bits.blit_changed ~src:nx ~dst:st then begin
+            if commit_planes t ~src:nxd ~dst:std then begin
               mark t i;
               (* nx reads st: recompute next edge from the new state. *)
               stable := false
@@ -617,6 +652,7 @@ let instantiate ?(lanes = lane_bits) plan =
         commits := commit :: !commits
       | Simcompile.E_sync_read { index = i; mem_uid; mem_width; addr; enable } ->
         let st = Option.get state.(i) and nx = Option.get next_state.(i) in
+        let std = Bits.unsafe_data st and nxd = Bits.unsafe_data nx in
         let arrs = Hashtbl.find mem_arrays mem_uid in
         let addr_idx = addr and en_idx = enable in
         let ad = Bits.unsafe_data bufs.(addr) in
@@ -643,7 +679,8 @@ let instantiate ?(lanes = lane_bits) plan =
             for l = 0 to lanes - 1 do
               if lane_bit em l then begin
                 let a = lane_index ad ~lane:l ~bound:(Array.length arrs.(l)) in
-                pack_lane ~dst:nx ~lane:l (if a < 0 then z else arrs.(l).(a))
+                ignore
+                  (pack_lane ~dst:nx ~lane:l (if a < 0 then z else arrs.(l).(a)))
               end
             done;
             ran := true
@@ -652,7 +689,7 @@ let instantiate ?(lanes = lane_bits) plan =
         let commit () =
           if !ran then begin
             ran := false;
-            if Bits.blit_changed ~src:nx ~dst:st then begin
+            if commit_planes t ~src:nxd ~dst:std then begin
               mark t i;
               stable := false
             end
@@ -671,24 +708,47 @@ let instantiate ?(lanes = lane_bits) plan =
       let enable = bufs.(wp_enable)
       and addr = bufs.(wp_addr)
       and data = bufs.(wp_data) in
-      let ad = Bits.unsafe_data addr and dv = Bits.zero (Bits.limb_count data) in
+      let w = Bits.limb_count data in
+      let ad = Bits.unsafe_data addr and dv = Bits.zero w in
+      (* Stored words are immutable (a write replaces the slot, as the
+         shared zero every slot starts from requires), so narrow words
+         are interned: one value per bit pattern, shared by every lane
+         and address, instead of a fresh copy per written slot that
+         stays live until the batch is dropped.  The table is made at
+         the first write, not at instantiation. *)
+      let interned = ref [||] in
+      let stored v =
+        if w > 12 then Bits.copy v
+        else begin
+          if Array.length !interned = 0 then
+            interned := Array.make (1 lsl w) None;
+          let k = Bits.to_int v in
+          match !interned.(k) with
+          | Some b -> b
+          | None ->
+            let b = Bits.copy v in
+            !interned.(k) <- Some b;
+            b
+        end
+      in
       let write () =
         let em = lane_or enable in
         if not (Int64.equal em 0L) then begin
-          let any = ref false in
+          let moved = ref 0L in
           for l = 0 to lanes - 1 do
             if lane_bit em l then begin
               let a = lane_index ad ~lane:l ~bound:(Array.length arrs.(l)) in
               if a >= 0 then begin
                 extract_lane_into ~dst:dv data ~lane:l;
                 if not (Bits.equal arrs.(l).(a) dv) then begin
-                  arrs.(l).(a) <- Bits.copy dv;
-                  any := true
+                  arrs.(l).(a) <- stored dv;
+                  moved := Int64.logor !moved (Int64.shift_left 1L l)
                 end
               end
             end
           done;
-          if !any then begin
+          if !moved <> 0L then begin
+            note_moved t !moved;
             incr gen;
             Array.iter (fun j -> mark t j) readers
           end
@@ -747,7 +807,8 @@ let settle_comb t =
               (Printf.sprintf
                  "Cyclesim: input %s driven with width %d, expected %d"
                  inp.in_name (Bits.width b) w);
-          pack_lane ~dst:inp.in_packed ~lane:l b;
+          if pack_lane ~dst:inp.in_packed ~lane:l b then
+            note_moved t (Int64.shift_left 1L l);
           inp.in_last.(l) <- b;
           inp.in_dirty <- true
         end
@@ -828,7 +889,14 @@ let clock_edge t =
 let cycle t =
   settle t;
   clock_edge t;
-  t.cycles <- t.cycles + 1
+  t.cycles <- t.cycles + 1;
+  Bytes.blit t.moved 0 t.changed 0 8;
+  set64 t.moved 0 0L
+
+let all_lanes t =
+  if t.lanes = lane_bits then -1L else Int64.pred (Int64.shift_left 1L t.lanes)
+
+let changed_lanes t = Int64.logand (get64 t.changed 0) (all_lanes t)
 
 let force t ~lane s b =
   check_lane t lane;
@@ -846,8 +914,9 @@ let force t ~lane s b =
       t.force_vals.(i) <- Some fv;
       fv
   in
-  pack_lane ~dst:fv ~lane b;
+  ignore (pack_lane ~dst:fv ~lane b);
   t.force_mask.(i) <- Int64.logor t.force_mask.(i) (Int64.shift_left 1L lane);
+  note_moved t (Int64.shift_left 1L lane);
   mark t i
 
 let release t ~lane s =
@@ -857,6 +926,7 @@ let release t ~lane s =
   if not (Int64.equal m t.force_mask.(i)) then begin
     t.force_mask.(i) <- m;
     if Int64.equal m 0L then t.force_vals.(i) <- None;
+    note_moved t (Int64.shift_left 1L lane);
     mark t i
   end
 
@@ -868,6 +938,7 @@ let release_all t ~lane =
     if not (Int64.equal m t.force_mask.(i)) then begin
       t.force_mask.(i) <- m;
       if Int64.equal m 0L then t.force_vals.(i) <- None;
+      note_moved t (Int64.lognot nm);
       mark t i
     end
   done
@@ -886,6 +957,11 @@ let peek t ~lane s =
   let i = index t s in
   extract_lane t.bufs.(i) ~lane (Signal.width t.signals.(i))
 
+let reader t ~lane s =
+  check_lane t lane;
+  let src = t.bufs.(index t s) in
+  fun dst -> extract_lane_into ~dst src ~lane
+
 let peek_state t ~lane s =
   check_lane t lane;
   let i = index t s in
@@ -901,7 +977,8 @@ let poke_state t ~lane s b =
   | Some st ->
     if bw (Bits.width b) <> Bits.width st then
       invalid_arg "Cyclesim.poke_state: width mismatch";
-    pack_lane ~dst:st ~lane b;
+    ignore (pack_lane ~dst:st ~lane b);
+    note_moved t (Int64.shift_left 1L lane);
     (* The edge kernel's memo thinks [st] still matches its inputs;
        invalidate it or the poked value would survive the next edge on
        enabled lanes, diverging from the scalar engine. *)
@@ -917,6 +994,7 @@ let memory_contents t ~lane m =
   incr (Hashtbl.find t.mem_gens (Signal.memory_uid m));
   Array.iter (fun j -> mark t j)
     (Simcompile.plan_mem_readers t.plan (Signal.memory_uid m));
+  note_moved t (Int64.shift_left 1L lane);
   arrs.(lane)
 
 let reset t =
@@ -958,6 +1036,7 @@ let reset t =
   Array.fill t.poked 0 (Array.length t.poked) true;
   Hashtbl.iter (fun _ g -> incr g) t.mem_gens;
   t.cycles <- 0;
+  note_moved t (-1L);
   settle t
 
 let cycle_count t = t.cycles
@@ -985,13 +1064,10 @@ let out_node t name =
   in
   go 0
 
+let published_data t i = Bits.unsafe_data t.bufs.(i)
+
 let check_plane d plane =
   if plane < 0 || plane >= planes d then invalid_arg "index out of bounds"
-
-let read_plane t i ~plane =
-  let d = Bits.unsafe_data t.bufs.(i) in
-  check_plane d plane;
-  pget d plane
 
 (* Overwrite the [mask] lanes of one input bit-plane with [bits];
    lanes outside [mask] keep their previous value, exactly as a scalar
@@ -1010,5 +1086,6 @@ let write_input_plane t k ~plane ~mask ~bits =
   in
   if nv <> old then begin
     pset ip plane nv;
+    note_moved t (Int64.logxor nv old);
     inp.in_dirty <- true
   end

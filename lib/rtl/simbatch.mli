@@ -51,6 +51,20 @@ val reset : t -> unit
 
 val cycle_count : t -> int
 
+val changed_lanes : t -> int64
+(** The lanes (bit [l] for lane [l]) whose register or sync-read
+    state, memory words, driven input planes or forces moved during
+    the last {!cycle}: from the end of the cycle before it (so the
+    drives, forces and pokes made between the two count) to the end of
+    its own clock edge. Every path that moves lane state reports here —
+    edge commits, write ports, {!write_input_plane}, per-lane input
+    refs, {!force}/{!release}, {!poke_state}, {!memory_contents} (the
+    caller may write the array it returns) and {!reset} (every lane).
+    A clear bit therefore means the lane's state at the end of the
+    cycle equals its state at the end of the one before and it was
+    driven with the same inputs and forces; a set bit may be
+    conservative (a [force] to the value already forced). *)
+
 (** {1 Per-lane ports and observation}
 
     Lane indices are checked against the instantiated lane count. *)
@@ -66,6 +80,10 @@ val out_port : t -> lane:int -> string -> Bits.t ref
 (** Scalar settled output for one lane, refreshed after each settle. *)
 
 val peek : t -> lane:int -> Signal.t -> Bits.t
+
+val reader : t -> lane:int -> Signal.t -> Bits.t -> unit
+(** See {!Cyclesim.reader}. *)
+
 val peek_state : t -> lane:int -> Signal.t -> Bits.t
 val poke_state : t -> lane:int -> Signal.t -> Bits.t -> unit
 
@@ -96,18 +114,22 @@ val forced : t -> lane:int -> Signal.t -> Bits.t option
     construction; the per-cycle path is then a few word operations. *)
 
 val node_index : t -> Signal.t -> int
-(** Plan index of a signal, for {!read_plane}. *)
+(** Plan index of a signal, for {!published_data}. *)
 
 val input_index : t -> string -> int
 (** Index of a named input port, for {!write_input_plane}. *)
 
 val out_node : t -> string -> int
-(** Plan index of a named output port's node, for {!read_plane}. *)
+(** Plan index of a named output port's node, for {!published_data}. *)
 
-val read_plane : t -> int -> plane:int -> int64
-(** Bit-plane [plane] of node [i]'s published (settled) value: bit [l]
-    is bit [plane] of lane [l]. Same phase as {!peek} — the settled
-    pre-edge value of the cycle that just completed. *)
+val published_data : t -> int -> Bytes.t
+(** Node [i]'s published (settled) value as raw storage, aliased (see
+    {!Bits.unsafe_data}): plane [p] — bit [l] is bit [p] of lane [l] —
+    is the int64 at byte offset [8 * (p + 1)]. Same phase as {!peek}:
+    the settled pre-edge value of the cycle that just completed.
+    Read-only. Harness loops read planes through the compiler's
+    inlined load primitive ([%caml_bytes_get64u]), so that no plane
+    value is boxed per cycle. *)
 
 val write_input_plane : t -> int -> plane:int -> mask:int64 -> bits:int64 -> unit
 (** Overwrite the [mask] lanes of input [k]'s bit-plane [plane] with

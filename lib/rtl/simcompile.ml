@@ -654,6 +654,10 @@ let forced t s = t.forces.(index t s)
 
 let peek t s = Bits.copy t.bufs.(index t s)
 
+let reader t s =
+  let b = t.bufs.(index t s) in
+  fun dst -> Bits.blit ~src:b ~dst
+
 let peek_state t s =
   match t.state.(index t s) with
   | Some st -> Bits.copy st

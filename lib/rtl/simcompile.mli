@@ -61,6 +61,10 @@ val release_all : t -> unit
 val forced : t -> Signal.t -> Bits.t option
 
 val peek : t -> Signal.t -> Bits.t
+
+val reader : t -> Signal.t -> Bits.t -> unit
+(** See {!Cyclesim.reader}. *)
+
 val peek_state : t -> Signal.t -> Bits.t
 val poke_state : t -> Signal.t -> Bits.t -> unit
 val memory_contents : t -> Signal.memory -> Bits.t array

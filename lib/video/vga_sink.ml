@@ -61,16 +61,25 @@ let clear t =
 module Batch = struct
   type bt = {
     sb : Simbatch.t;
-    valid_out : int;
+    valid_out : Bytes.t; (* published planes, see Simbatch.published_data *)
     valid_w : int;
-    data_out : int;
+    data_out : Bytes.t;
     data_w : int;
     ready_in : int option;
     ready_every : int;
     tick : int array;
-    captured : int list array; (* newest first, per lane *)
+    captured : int array array;
+        (* per lane, the first [count] entries in capture order; grown
+           by doubling, so that a batch's pixels are a few flat arrays
+           rather than a cons cell each *)
     count : int array;
   }
+
+  (* Planes are read through the compiler's primitive, so that no plane
+     value is boxed on the per-cycle path. *)
+  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+  let[@inline] plane d p = get64 d ((p + 1) lsl 3)
 
   let create ?(valid_port = "out_valid") ?(data_port = "out_data")
       ?(ready_port = "out_ready") ?(ready_every = 1) sb () =
@@ -78,44 +87,48 @@ module Batch = struct
       invalid_arg "Vga_sink.create: ready_every must be >= 1";
     let lanes = Simbatch.lanes sb in
     let width_of p = Signal.width (Circuit.find_output (Simbatch.circuit sb) p) in
+    let out p = Simbatch.published_data sb (Simbatch.out_node sb p) in
     {
       sb;
-      valid_out = Simbatch.out_node sb valid_port;
+      valid_out = out valid_port;
       valid_w = width_of valid_port;
-      data_out = Simbatch.out_node sb data_port;
+      data_out = out data_port;
       data_w = width_of data_port;
       ready_in =
         (if ready_port = "" then None
          else Some (Simbatch.input_index sb ready_port));
       ready_every;
       tick = Array.make lanes 0;
-      captured = Array.make lanes [];
+      captured = Array.make lanes [||];
       count = Array.make lanes 0;
     }
 
   let drive t ~mask =
     match t.ready_in with
-    | None ->
-      for l = 0 to Simbatch.lanes t.sb - 1 do
-        if Int64.logand (Int64.shift_right_logical mask l) 1L = 1L then
-          t.tick.(l) <- t.tick.(l) + 1
-      done
+    | None -> ()
     | Some ready_in ->
-      let bits = ref 0L in
-      for l = 0 to Simbatch.lanes t.sb - 1 do
-        if Int64.logand (Int64.shift_right_logical mask l) 1L = 1L then begin
-          if t.tick.(l) mod t.ready_every = 0 then
-            bits := Int64.logor !bits (Int64.shift_left 1L l);
-          t.tick.(l) <- t.tick.(l) + 1
+      (* With [ready_every = 1] every tick is a ready tick, and the
+         per-lane tick counts are never read. *)
+      let bits =
+        if t.ready_every = 1 then mask
+        else begin
+          let bits = ref 0L in
+          for l = 0 to Simbatch.lanes t.sb - 1 do
+            if Int64.logand (Int64.shift_right_logical mask l) 1L = 1L then begin
+              if t.tick.(l) mod t.ready_every = 0 then
+                bits := Int64.logor !bits (Int64.shift_left 1L l);
+              t.tick.(l) <- t.tick.(l) + 1
+            end
+          done;
+          !bits
         end
-      done;
-      Simbatch.write_input_plane t.sb ready_in ~plane:0 ~mask ~bits:!bits
+      in
+      Simbatch.write_input_plane t.sb ready_in ~plane:0 ~mask ~bits
 
   let observe t ~mask =
     let valid = ref 0L in
     for b = 0 to t.valid_w - 1 do
-      valid :=
-        Int64.logor !valid (Simbatch.read_plane t.sb t.valid_out ~plane:b)
+      valid := Int64.logor !valid (plane t.valid_out b)
     done;
     let hit = Int64.logand mask !valid in
     if not (Int64.equal hit 0L) then
@@ -124,19 +137,21 @@ module Batch = struct
           let px = ref 0 in
           for b = 0 to t.data_w - 1 do
             if
-              Int64.logand
-                (Int64.shift_right_logical
-                   (Simbatch.read_plane t.sb t.data_out ~plane:b)
-                   l)
-                1L
+              Int64.logand (Int64.shift_right_logical (plane t.data_out b) l) 1L
               = 1L
             then px := !px lor (1 lsl b)
           done;
-          t.captured.(l) <- !px :: t.captured.(l);
-          t.count.(l) <- t.count.(l) + 1
+          let n = t.count.(l) in
+          if n = Array.length t.captured.(l) then begin
+            let grown = Array.make (max 64 (2 * n)) 0 in
+            Array.blit t.captured.(l) 0 grown 0 n;
+            t.captured.(l) <- grown
+          end;
+          t.captured.(l).(n) <- !px;
+          t.count.(l) <- n + 1
         end
       done
 
-  let collected t ~lane = List.rev t.captured.(lane)
+  let collected t ~lane = List.init t.count.(lane) (Array.get t.captured.(lane))
   let count t ~lane = t.count.(lane)
 end

@@ -68,71 +68,81 @@ module Batch = struct
     sb : Simbatch.t;
     valid_in : int;
     data_in : int;
-    ready_out : int;
+    ready_out : Bytes.t; (* published planes, see Simbatch.published_data *)
     ready_w : int;
     depth : int;
     pixels : int array;
     pos : int array; (* per lane *)
-    sent : int array;
-    planes : Bytes.t; (* scratch: data plane [b] at byte offset [8 * b] *)
+    heads : Bytes.t;
+        (* Word [b < depth]: bit [b] of every streaming lane's head
+           pixel, kept up to date as lanes advance; word [depth]: the
+           exhausted lanes.  A drive is then [depth + 1] plane writes,
+           whatever the lane count. *)
   }
 
-  (* Plane scratch access through the compiler's primitives, so that no
-     plane value is boxed on the per-cycle path. *)
+  (* Words are read and written through the compiler's primitives, so
+     that no plane value is boxed on the per-cycle path. *)
   external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
   external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+  let[@inline] word d k = get64 d (k lsl 3)
+  let[@inline] set_word d k v = set64 d (k lsl 3) v
+
+  (* Lane [l]'s column of the head words becomes pixel [pos], or the
+     lane joins the exhausted ones. *)
+  let set_head t l pos =
+    let m = Int64.shift_left 1L l in
+    if pos >= Array.length t.pixels then
+      set_word t.heads t.depth (Int64.logor (word t.heads t.depth) m)
+    else
+      let px = t.pixels.(pos) in
+      for b = 0 to t.depth - 1 do
+        let w = word t.heads b in
+        set_word t.heads b
+          (if (px lsr b) land 1 = 1 then Int64.logor w m
+           else Int64.logand w (Int64.lognot m))
+      done
 
   let create ?(valid_port = "px_valid") ?(data_port = "px_data")
       ?(ready_port = "px_ready") sb frame =
     let lanes = Simbatch.lanes sb in
-    {
-      sb;
-      valid_in = Simbatch.input_index sb valid_port;
-      data_in = Simbatch.input_index sb data_port;
-      ready_out = Simbatch.out_node sb ready_port;
-      ready_w =
-        Signal.width (Circuit.find_output (Simbatch.circuit sb) ready_port);
-      depth = Frame.depth frame;
-      pixels = Array.of_list (Frame.to_row_major frame);
-      pos = Array.make lanes 0;
-      sent = Array.make lanes 0;
-      planes = Bytes.make (8 * Frame.depth frame) '\000';
-    }
+    let depth = Frame.depth frame in
+    let t =
+      {
+        sb;
+        valid_in = Simbatch.input_index sb valid_port;
+        data_in = Simbatch.input_index sb data_port;
+        ready_out =
+          Simbatch.published_data sb (Simbatch.out_node sb ready_port);
+        ready_w =
+          Signal.width (Circuit.find_output (Simbatch.circuit sb) ready_port);
+        depth;
+        pixels = Array.of_list (Frame.to_row_major frame);
+        pos = Array.make lanes 0;
+        heads = Bytes.make (8 * (depth + 1)) '\000';
+      }
+    in
+    for l = 0 to lanes - 1 do
+      set_head t l 0
+    done;
+    t
 
   let drive t ~mask =
-    let n = Array.length t.pixels in
-    let lanes = Simbatch.lanes t.sb in
-    Bytes.fill t.planes 0 (Bytes.length t.planes) '\000';
-    let streaming = ref 0L in
-    for l = 0 to lanes - 1 do
-      if
-        Int64.logand (Int64.shift_right_logical mask l) 1L = 1L
-        && t.pos.(l) < n
-      then begin
-        let m = Int64.shift_left 1L l in
-        streaming := Int64.logor !streaming m;
-        let px = t.pixels.(t.pos.(l)) in
-        for b = 0 to t.depth - 1 do
-          if (px lsr b) land 1 = 1 then
-            set64 t.planes (8 * b) (Int64.logor (get64 t.planes (8 * b)) m)
-        done
-      end
-    done;
     (* Every masked lane drives valid (0 once exhausted); data is only
        driven by still-streaming lanes, like the scalar source. *)
-    Simbatch.write_input_plane t.sb t.valid_in ~plane:0 ~mask ~bits:!streaming;
-    if !streaming <> 0L then
+    let streaming = Int64.logand mask (Int64.lognot (word t.heads t.depth)) in
+    Simbatch.write_input_plane t.sb t.valid_in ~plane:0 ~mask ~bits:streaming;
+    if streaming <> 0L then
       for b = 0 to t.depth - 1 do
-        Simbatch.write_input_plane t.sb t.data_in ~plane:b ~mask:!streaming
-          ~bits:(get64 t.planes (8 * b))
+        Simbatch.write_input_plane t.sb t.data_in ~plane:b ~mask:streaming
+          ~bits:(word t.heads b)
       done
 
   let observe t ~mask =
     let n = Array.length t.pixels in
     let ready = ref 0L in
     for b = 0 to t.ready_w - 1 do
-      ready :=
-        Int64.logor !ready (Simbatch.read_plane t.sb t.ready_out ~plane:b)
+      ready := Int64.logor !ready (get64 t.ready_out ((b + 1) lsl 3))
     done;
     let adv = Int64.logand mask !ready in
     if not (Int64.equal adv 0L) then
@@ -142,10 +152,10 @@ module Batch = struct
           && t.pos.(l) < n
         then begin
           t.pos.(l) <- t.pos.(l) + 1;
-          t.sent.(l) <- t.sent.(l) + 1
+          set_head t l t.pos.(l)
         end
       done
 
   let exhausted t ~lane = t.pos.(lane) >= Array.length t.pixels
-  let sent t ~lane = t.sent.(lane)
+  let sent t ~lane = t.pos.(lane)
 end

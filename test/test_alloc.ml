@@ -3,7 +3,7 @@
    The in-place [Bits] kernels the compiled simulators run every cycle
    must allocate nothing at all, and a steady-state frame through
    [Experiment.run_video_system] must stay within a small per-cycle
-   budget.  Both are properties of how the code is written (unboxed
+   budget, and a scalar [Monitor.sample] must allocate nothing.  Both are properties of how the code is written (unboxed
    limbs, no closures or boxed int64 on the hot path), so they are
    checked directly rather than inferred from timings. *)
 
@@ -90,9 +90,34 @@ let video_case design =
         Alcotest.failf "%s: %.1f minor words per cycle, budget %.0f" design
           per_cycle per_cycle_budget)
 
+(* The scalar monitor every fault campaign's fault-free baseline (and
+   every scalar campaign) samples once per cycle: on the protected
+   design, mid-frame and with the history ring wrapped many times over,
+   a sample allocates nothing. *)
+let monitor_case =
+  Alcotest.test_case "Monitor.sample saa2vga_sram_protected" `Quick (fun () ->
+      let sim = Cyclesim.create (Saa2vga.build_protected ()) in
+      let monitor = Monitor.create sim in
+      Alcotest.(check bool) "monitors attached" true (Monitor.add_auto monitor > 0);
+      let frame = Hwpat_video.Pattern.gradient ~width:16 ~height:16 ~depth:8 in
+      let source = Video_source.create sim frame in
+      let sink = Vga_sink.create sim () in
+      for _ = 1 to 300 do
+        Video_source.drive source;
+        Vga_sink.drive sink;
+        Cyclesim.cycle sim;
+        Monitor.sample monitor;
+        Video_source.observe source;
+        Vga_sink.observe sink
+      done;
+      Alcotest.(check bool) "pixels flowing" true (Vga_sink.count sink > 0);
+      zero_alloc "Monitor.sample" (fun () -> Monitor.sample monitor);
+      Alcotest.(check bool) "no violations" true (Monitor.ok monitor))
+
 let () =
   Alcotest.run "alloc"
     [
       ("alloc", List.map kernel_case [ 1; 64; 65; 130 ]
-                @ List.map video_case [ "saa2vga-fifo"; "saa2vga-sram"; "blur" ]);
+                @ List.map video_case [ "saa2vga-fifo"; "saa2vga-sram"; "blur" ]
+                @ [ monitor_case ]);
     ]

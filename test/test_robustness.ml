@@ -175,6 +175,94 @@ let test_add_auto_finds_conventions () =
   check_int "both breaches flagged" 2 (List.length (Monitor.violations monitor));
   check_bool "vcd window renders" true (String.length (Monitor.vcd_window monitor) > 0)
 
+(* The VCD window of a run longer than the window, pinned byte for
+   byte: only the last [window] samples are rendered, oldest first, and
+   the FIFO's signals — watched from the third sample on — are absent
+   from the sample before they were watched. *)
+let test_vcd_window_pinned () =
+  let req = input "m_req" 1 and ack = input "m_ack" 1 in
+  let payload = input "m_payload" 4 in
+  let count = input "f_count" 3 and empty = input "f_empty" 1 in
+  let circuit =
+    Circuit.create_exn ~name:"vcd_harness"
+      [ ("o1", req); ("o2", ack); ("o3", payload); ("o4", count); ("o5", empty) ]
+  in
+  let sim = Cyclesim.create circuit in
+  let monitor = Monitor.create ~window:8 sim in
+  Monitor.add_handshake monitor ~name:"m" ~payload ~req ~ack ();
+  List.iteri
+    (fun i (r, a, p, c) ->
+      if i = 2 then Monitor.add_fifo monitor ~name:"f" ~count ~empty ();
+      set sim "m_req" ~width:1 r;
+      set sim "m_ack" ~width:1 a;
+      set sim "m_payload" ~width:4 p;
+      set sim "f_count" ~width:3 c;
+      set sim "f_empty" ~width:1 (if c = 0 then 1 else 0);
+      Cyclesim.cycle sim;
+      Monitor.sample monitor)
+    [
+      (0, 0, 0, 0); (1, 0, 5, 1); (1, 1, 5, 2); (0, 0, 9, 2); (1, 0, 3, 1);
+      (1, 0, 3, 0); (1, 1, 3, 0); (0, 0, 12, 1); (0, 0, 7, 1);
+    ];
+  check_bool "no violations" true (Monitor.ok monitor);
+  Alcotest.(check string) "vcd window" {|$timescale 1 ns $end
+$scope module monitor $end
+$var wire 1 ! m_req $end
+$var wire 1 " m_ack $end
+$var wire 4 # m_payload $end
+$var wire 3 $ f_count $end
+$var wire 1 % f_empty $end
+$upscope $end
+$enddefinitions $end
+#1
+1!
+0"
+b0101 #
+#2
+1!
+1"
+b0101 #
+b010 $
+0%
+#3
+0!
+0"
+b1001 #
+b010 $
+0%
+#4
+1!
+0"
+b0011 #
+b001 $
+0%
+#5
+1!
+0"
+b0011 #
+b000 $
+1%
+#6
+1!
+1"
+b0011 #
+b000 $
+1%
+#7
+0!
+0"
+b1100 #
+b001 $
+0%
+#8
+0!
+0"
+b0111 #
+b001 $
+0%
+|}
+    (Monitor.vcd_window monitor)
+
 (* ---------------------------------------------------------------- *)
 (* Parity detects every single-bit corruption of protected storage.   *)
 (* ---------------------------------------------------------------- *)
@@ -457,6 +545,8 @@ let () =
             test_fifo_invariants_all_flagged;
           Alcotest.test_case "add_auto finds naming conventions" `Quick
             test_add_auto_finds_conventions;
+          Alcotest.test_case "vcd window pinned past the window" `Quick
+            test_vcd_window_pinned;
         ] );
       ( "protection",
         [
