@@ -20,10 +20,11 @@ external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 let limb_bits = 64
 let limbs_for width = (width + limb_bits - 1) / limb_bits
 
+let[@inline] limb_offset i = (i + 1) lsl 3
 let[@inline] width t = Int64.to_int (get64 t 0)
 let[@inline] nlimbs t = (Bytes.length t lsr 3) - 1
-let[@inline] limb t i = get64 t ((i + 1) lsl 3)
-let[@inline] set t i v = set64 t ((i + 1) lsl 3) v
+let[@inline] limb t i = get64 t (limb_offset i)
+let[@inline] set t i v = set64 t (limb_offset i) v
 
 (* Unsigned [p < q]. *)
 let[@inline] ult (p : int64) (q : int64) =

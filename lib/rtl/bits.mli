@@ -203,15 +203,22 @@ val set_limb : t -> int -> int64 -> unit
 val unsafe_data : t -> Bytes.t
 (** The vector's storage itself, aliased, not copied: bytes [0..7] hold
     the width and must not be written; limb [i] is the native-endian
-    64-bit word at byte offset [8 * (i + 1)]. For inner-loop kernels
-    (the batched simulation engine) that read and write limbs through
-    the compiler's inlined primitives
-    ([external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"])
-    rather than a call per limb, which would box every value. Writing
+    64-bit word at byte offset [limb_offset i]. For inner-loop kernels
+    (the batched simulation engine and its plane-level harnesses) that
+    read limbs through {!get64} rather than a call per limb, which
+    would box every value. Writing
     through it bypasses normalization: only sound when the width is a
     whole number of limbs ([width mod 64 = 0]), as every batched
     simulation buffer is, or when the bits written lie below [width] —
     an unnormalized top limb breaks [equal]/[compare]. *)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+(** Unchecked native-endian 64-bit load at a byte offset. A primitive,
+    so it is inlined in every caller and the value it loads is not
+    boxed: [get64 (unsafe_data t) (limb_offset i)] is limb [i]. *)
+
+val limb_offset : int -> int
+(** Byte offset of limb [i] in {!unsafe_data}. *)
 
 (** {1 Reduction} *)
 

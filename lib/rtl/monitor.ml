@@ -316,12 +316,11 @@ module Batch = struct
      plane per cycle.  [word d k] is the [k]-th word of a scratch
      buffer; [plane d p] is plane [p] of a published value (see
      {!Simbatch.published_data}). *)
-  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
   external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-  let[@inline] word d k = get64 d (k lsl 3)
+  let[@inline] word d k = Bits.get64 d (k lsl 3)
   let[@inline] set_word d k v = set64 d (k lsl 3) v
-  let[@inline] plane d p = get64 d ((p + 1) lsl 3)
+  let[@inline] plane d p = Bits.get64 d (Bits.limb_offset p)
   let words n = Bytes.make (8 * n) '\000'
 
   (* Callers test [m] first: the closure a call builds is then only

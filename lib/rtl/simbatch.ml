@@ -46,10 +46,11 @@ let lane_bits = 64
 let bw w = w * lane_bits
 
 (* Plane (limb) access on the raw storage of a [Bits.t]
-   ([Bits.unsafe_data]: limb [p] at byte offset [8 * (p + 1)]) through
-   the compiler's load/store primitives, inlined here so that no plane
-   value is boxed.  A call into [Bits] per limb would box every int64
-   it returns. *)
+   ([Bits.unsafe_data]) through the compiler's load/store primitives,
+   inlined here so that no plane value is boxed.  A call into [Bits]
+   per limb would box every int64 it returns; the offset is
+   [Bits.limb_offset p], spelled out because the engine's innermost
+   loops should not pay a call per limb for it. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -711,14 +712,18 @@ let instantiate ?(lanes = lane_bits) plan =
       let w = Bits.limb_count data in
       let ad = Bits.unsafe_data addr and dv = Bits.zero w in
       (* Stored words are immutable (a write replaces the slot, as the
-         shared zero every slot starts from requires), so narrow words
-         are interned: one value per bit pattern, shared by every lane
-         and address, instead of a fresh copy per written slot that
-         stays live until the batch is dropped.  The table is made at
-         the first write, not at instantiation. *)
+         shared zero every slot starts from requires), so words are
+         interned: one value per bit pattern, shared by every lane and
+         address, instead of a fresh copy per written slot that stays
+         live until the batch is dropped.  Only while the table (one
+         entry per pattern) is no larger than the slots it serves —
+         [lanes * size] — as for the video designs' 8- and 9-bit
+         (parity) pixel memories; wider words are copied.  The table
+         is made at the first write, not at instantiation. *)
+      let intern = w < 30 && 1 lsl w <= lanes * Array.length arrs.(0) in
       let interned = ref [||] in
       let stored v =
-        if w > 12 then Bits.copy v
+        if not intern then Bits.copy v
         else begin
           if Array.length !interned = 0 then
             interned := Array.make (1 lsl w) None;

@@ -125,11 +125,10 @@ val out_node : t -> string -> int
 val published_data : t -> int -> Bytes.t
 (** Node [i]'s published (settled) value as raw storage, aliased (see
     {!Bits.unsafe_data}): plane [p] — bit [l] is bit [p] of lane [l] —
-    is the int64 at byte offset [8 * (p + 1)]. Same phase as {!peek}:
-    the settled pre-edge value of the cycle that just completed.
-    Read-only. Harness loops read planes through the compiler's
-    inlined load primitive ([%caml_bytes_get64u]), so that no plane
-    value is boxed per cycle. *)
+    is limb [p], [Bits.get64 d (Bits.limb_offset p)]. Same phase as
+    {!peek}: the settled pre-edge value of the cycle that just
+    completed. Read-only. {!Bits.get64} is an inlined primitive, so
+    harness loops box no plane value per cycle. *)
 
 val write_input_plane : t -> int -> plane:int -> mask:int64 -> bits:int64 -> unit
 (** Overwrite the [mask] lanes of input [k]'s bit-plane [plane] with

@@ -56,8 +56,10 @@ let clear t =
 
 (* Plane-level variant over a whole batch: one valid-plane read per
    cycle, with per-lane extraction only for the lanes that pulsed
-   valid. Per lane and cycle the ready waveform and captured words are
-   exactly the scalar [drive]/[observe] above. *)
+   valid. It is always ready, so per lane and cycle the ready waveform
+   and captured words are exactly the scalar [drive]/[observe] above
+   at [ready_every = 1]. A constant ready is what Faultsim's retirement
+   of quiescent lanes requires (DESIGN.md §15). *)
 module Batch = struct
   type bt = {
     sb : Simbatch.t;
@@ -66,8 +68,6 @@ module Batch = struct
     data_out : Bytes.t;
     data_w : int;
     ready_in : int option;
-    ready_every : int;
-    tick : int array;
     captured : int array array;
         (* per lane, the first [count] entries in capture order; grown
            by doubling, so that a batch's pixels are a few flat arrays
@@ -77,14 +77,10 @@ module Batch = struct
 
   (* Planes are read through the compiler's primitive, so that no plane
      value is boxed on the per-cycle path. *)
-  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-
-  let[@inline] plane d p = get64 d ((p + 1) lsl 3)
+  let[@inline] plane d p = Bits.get64 d (Bits.limb_offset p)
 
   let create ?(valid_port = "out_valid") ?(data_port = "out_data")
-      ?(ready_port = "out_ready") ?(ready_every = 1) sb () =
-    if ready_every < 1 then
-      invalid_arg "Vga_sink.create: ready_every must be >= 1";
+      ?(ready_port = "out_ready") sb () =
     let lanes = Simbatch.lanes sb in
     let width_of p = Signal.width (Circuit.find_output (Simbatch.circuit sb) p) in
     let out p = Simbatch.published_data sb (Simbatch.out_node sb p) in
@@ -97,33 +93,16 @@ module Batch = struct
       ready_in =
         (if ready_port = "" then None
          else Some (Simbatch.input_index sb ready_port));
-      ready_every;
-      tick = Array.make lanes 0;
       captured = Array.make lanes [||];
       count = Array.make lanes 0;
     }
 
+  (* Always ready: every driven lane's ready bit is its mask bit. *)
   let drive t ~mask =
     match t.ready_in with
     | None -> ()
     | Some ready_in ->
-      (* With [ready_every = 1] every tick is a ready tick, and the
-         per-lane tick counts are never read. *)
-      let bits =
-        if t.ready_every = 1 then mask
-        else begin
-          let bits = ref 0L in
-          for l = 0 to Simbatch.lanes t.sb - 1 do
-            if Int64.logand (Int64.shift_right_logical mask l) 1L = 1L then begin
-              if t.tick.(l) mod t.ready_every = 0 then
-                bits := Int64.logor !bits (Int64.shift_left 1L l);
-              t.tick.(l) <- t.tick.(l) + 1
-            end
-          done;
-          !bits
-        end
-      in
-      Simbatch.write_input_plane t.sb ready_in ~plane:0 ~mask ~bits
+      Simbatch.write_input_plane t.sb ready_in ~plane:0 ~mask ~bits:mask
 
   let observe t ~mask =
     let valid = ref 0L in

@@ -40,8 +40,9 @@ val clear : t -> unit
 
 (** Plane-level sink over a whole {!Simbatch} batch: one valid-plane
     read per cycle, per-lane extraction only for lanes that pulsed
-    valid. Per lane the ready waveform and captured words are exactly
-    the scalar sink's — [mask] selects the lanes being driven. *)
+    valid. Always ready (the scalar sink's default [ready_every = 1]):
+    per lane the ready waveform and captured words are exactly the
+    scalar sink's — [mask] selects the lanes being driven. *)
 module Batch : sig
   type bt
 
@@ -49,7 +50,6 @@ module Batch : sig
     ?valid_port:string ->
     ?data_port:string ->
     ?ready_port:string ->
-    ?ready_every:int ->
     Hwpat_rtl.Simbatch.t ->
     unit ->
     bt

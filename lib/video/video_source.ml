@@ -82,10 +82,9 @@ module Batch = struct
 
   (* Words are read and written through the compiler's primitives, so
      that no plane value is boxed on the per-cycle path. *)
-  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
   external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-  let[@inline] word d k = get64 d (k lsl 3)
+  let[@inline] word d k = Bits.get64 d (k lsl 3)
   let[@inline] set_word d k v = set64 d (k lsl 3) v
 
   (* Lane [l]'s column of the head words becomes pixel [pos], or the
@@ -142,7 +141,7 @@ module Batch = struct
     let n = Array.length t.pixels in
     let ready = ref 0L in
     for b = 0 to t.ready_w - 1 do
-      ready := Int64.logor !ready (get64 t.ready_out ((b + 1) lsl 3))
+      ready := Int64.logor !ready (Bits.get64 t.ready_out (Bits.limb_offset b))
     done;
     let adv = Int64.logand mask !ready in
     if not (Int64.equal adv 0L) then
